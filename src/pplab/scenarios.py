@@ -108,10 +108,15 @@ class RunResult:
 
 
 def _threads() -> int:
+    """Worker count from PPLAB_THREADS: unset means 1, else a positive integer."""
+    raw = os.environ.get("PPLAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("PPLAB_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"PPLAB_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _parallel_chunks(fn, static_args: tuple, reps: int, seed: int):
@@ -224,16 +229,24 @@ def _count_close_line_pairs(flats, eps, ball_radius) -> int:
 
 
 def _midpoint_config_chunk(args, seed, lo, hi):
-    """Flattened midpoint coordinates per replication, padded row layout."""
+    """Flattened midpoint coordinates per replication, padded row layout.
+
+    A replication with more than ``max_atoms`` midpoints does not fit the
+    row and raises rather than being truncated.
+    """
     d, t, cutoff, max_atoms = args
     out = np.full((hi - lo, 1 + max_atoms * d), np.nan)
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
         pts = rng.uniform(size=(rng.poisson(t), d))
         mids = transform.pair_midpoints(pts, cutoff)
-        k = min(len(mids), max_atoms)
-        out[i - lo, 0] = k
-        out[i - lo, 1 : 1 + k * d] = mids[:k].ravel()
+        if len(mids) > max_atoms:
+            raise ValueError(
+                f"configuration {i} has {len(mids)} midpoints, "
+                f"more than the cap of {max_atoms} atoms per configuration"
+            )
+        out[i - lo, 0] = len(mids)
+        out[i - lo, 1 : 1 + mids.size] = mids.ravel()
     return out
 
 
@@ -812,18 +825,6 @@ def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
     return RunResult(rows, {"passed": passed})
 
 
-def _identity_config_chunk(args, seed, lo, hi):
-    d, t, max_atoms = args
-    out = np.full((hi - lo, 1 + max_atoms * d), np.nan)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, i)
-        pts = rng.uniform(size=(rng.poisson(t), d))
-        k = min(len(pts), max_atoms)
-        out[i - lo, 0] = k
-        out[i - lo, 1 : 1 + k * d] = pts[:k].ravel()
-    return out
-
-
 def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
     d = cfg.d
     t = float(cfg.t_grid[-1])
@@ -911,4 +912,5 @@ _RUNNERS = {
 def run(config: ScenarioConfig) -> RunResult:
     """Run one scenario; every row is reproducible from (config, seed)."""
     config.validate()
+    _threads()  # a bad PPLAB_THREADS fails every scenario, fanned out or not
     return _RUNNERS[config.scenario](config)

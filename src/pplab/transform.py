@@ -3,7 +3,10 @@
 The measure-level ``induce`` enumerates unordered subsets of distinct
 points and is exact (integer multiplicities).  The ``pair_*`` helpers are
 vectorized fast paths for the two-point kernels used by the experiment
-scenarios; tests cross-check them against the enumeration path.
+scenarios.  Each has one production path: the cutoff kernels share a
+kd-tree pair query sorted into row-major order, and the no-cutoff kernels
+use ``pdist``.  Tests cross-check them against the enumeration path and,
+bit for bit, against a dense upper-triangle reference kept in the tests.
 """
 
 from __future__ import annotations
@@ -188,29 +191,43 @@ def signed_power_transform(
 # ---------------------------------------------------------------------------
 
 
-def _pair_distances_within(points: np.ndarray, cutoff: float) -> np.ndarray:
-    """Distances of unordered pairs with separation <= cutoff.
-
-    Small inputs use the dense pair matrix (also the testing oracle for the
-    accelerated path); larger ones a cutoff-bucketed kd-tree query, which
-    only ever touches neighboring buckets.
-    """
-    n = len(points)
-    if n < 2:
-        return np.empty(0)
+def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if n <= 256 or cutoff <= 0:
-        iu, ju = np.triu_indices(n, k=1)
-        dist = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-        return dist[dist <= cutoff]
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _pairs_within(pts: np.ndarray, cutoff: float):
+    """Index pairs i < j with |x_i - x_j| <= cutoff, in row-major order.
+
+    Returns ``(i, j, dist)``.  The kd-tree query runs at a radius a hair
+    above the cutoff, and the pairs are then kept by the same
+    ``np.linalg.norm(...) <= cutoff`` test that ``induce`` applies, so a
+    pair at the cutoff up to rounding (a lattice, say) is decided as in
+    the oracle rather than by the tree's squared-distance comparison.
+    Row-major order makes the arrays, and any sum over them, equal bit
+    for bit to the dense upper-triangle enumeration.  A negative cutoff
+    admits no pair; a zero cutoff admits coincident points.
+    """
+    if len(pts) < 2 or cutoff < 0:
+        none = np.empty(0, dtype=np.intp)
+        return none, none, np.empty(0)
     from scipy.spatial import cKDTree
 
-    pairs = cKDTree(pts).query_pairs(cutoff, output_type="ndarray")
-    if len(pairs) == 0:
-        return np.empty(0)
-    return np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    pairs = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+    keep = dist <= cutoff
+    return i[keep], j[keep], dist[keep]
+
+
+def _pair_distances_within(points: np.ndarray, cutoff: float) -> np.ndarray:
+    """Distances of unordered pairs with separation <= cutoff, row-major.
+
+    One kd-tree path at every size (``_pairs_within``); the dense pair
+    matrix survives only as the oracle in the tests.
+    """
+    return _pairs_within(_as_points(points), cutoff)[2]
 
 
 def pair_count_within(points: np.ndarray, cutoff: float) -> int:
@@ -229,41 +246,31 @@ def pair_sum_power(points: np.ndarray, b: float, cutoff: float) -> float:
 
 
 def pair_sum_inverse_power(points: np.ndarray, tau: float) -> float:
-    """Sum of |x - y|^(-tau) over all unordered pairs (no cutoff)."""
-    n = len(points)
-    if n < 2:
+    """Sum of |x - y|^(-tau) over all unordered pairs (no cutoff).
+
+    ``pdist`` lists the pairs in the same row-major order as the dense
+    upper triangle; coincident pairs are excluded.
+    """
+    if len(points) < 2:
         return 0.0
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    iu, ju = np.triu_indices(n, k=1)
-    dist = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    from scipy.spatial.distance import pdist
+
+    dist = pdist(_as_points(points))
     dist = dist[dist > 0]
     return float(np.sum(dist ** (-tau)))
 
 
 def pair_midpoints(points: np.ndarray, cutoff: float) -> np.ndarray:
     """Midpoints of unordered pairs within the cutoff, shape (count, d)."""
-    n = len(points)
-    pts = np.asarray(points, dtype=float)
-    if n < 2:
-        return np.empty((0, pts.shape[1] if pts.ndim > 1 else 1))
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    iu, ju = np.triu_indices(n, k=1)
-    dist = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    keep = dist <= cutoff
-    return (pts[iu[keep]] + pts[ju[keep]]) / 2.0
+    pts = _as_points(points)
+    i, j, _ = _pairs_within(pts, cutoff)
+    return (pts[i] + pts[j]) / 2.0
 
 
 def max_pair_distance(points: np.ndarray) -> float:
     """Largest pairwise distance; 0.0 for fewer than two points."""
-    n = len(points)
-    if n < 2:
+    if len(points) < 2:
         return 0.0
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     from scipy.spatial.distance import pdist
 
-    return float(pdist(pts).max())
+    return float(pdist(_as_points(points)).max())

@@ -143,6 +143,34 @@ def test_worker_pool_matches_serial(monkeypatch):
     assert serial.rows[0].stderr == pooled.rows[0].stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_threads_rejects_bad_value(monkeypatch, value):
+    monkeypatch.setenv("PPLAB_THREADS", value)
+    with pytest.raises(ValueError, match=f"PPLAB_THREADS.*'{value}'"):
+        scenarios._threads()
+    # also a scenario that never fans out
+    cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 5})
+    with pytest.raises(ValueError, match="PPLAB_THREADS"):
+        scenarios.run(cfg)
+    monkeypatch.delenv("PPLAB_THREADS")
+    assert scenarios._threads() == 1
+
+
+def test_midpoint_configs_over_cap_raise():
+    # a cutoff of 1 joins almost every pair of about 50 points: far above 64
+    with pytest.raises(ValueError, match=r"configuration 0 has \d+ midpoints.*cap of 64"):
+        scenarios._midpoint_config_chunk((2, 50.0, 1.0, 64), 3, 0, 5)
+    cfg = ScenarioConfig(
+        scenario="gilbert-midpoints",
+        d=2,
+        t_grid=(50.0,),
+        seed=3,
+        params={"a": 10.0, "n_configs": 20},
+    )
+    with pytest.raises(ValueError, match="cap of 64"):
+        scenarios.run(cfg)
+
+
 def test_cli_run_and_exit_codes(tmp_path):
     config = {
         "scenario": "mecke-verify",

@@ -11,6 +11,7 @@ from pplab.rng import derive_rng
 from pplab.transform import (
     RescaleLaw,
     SymmetricKernel,
+    _pair_distances_within,
     distance_kernel,
     distance_power_kernel,
     edge_midpoint_process,
@@ -196,10 +197,60 @@ def test_inverse_power_and_diameter_paths():
     assert max_pair_distance(pts[:1]) == 0.0
 
 
+def _dense_pairs(pts, cutoff):
+    """Dense upper-triangle reference: pairs i < j within the cutoff, row-major."""
+    iu, ju = np.triu_indices(len(pts), k=1)
+    dist = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    keep = dist <= cutoff
+    return iu[keep], ju[keep], dist[keep]
+
+
 def test_tree_path_equals_dense_path():
     rng = derive_rng(10)
-    pts = rng.uniform(size=(800, 2))
-    dense = sum(
-        1 for i, j in combinations(range(300), 2) if np.linalg.norm(pts[i] - pts[j]) <= 0.05
-    )
-    assert pair_count_within(pts[:300], 0.05) == dense
+    for d in (1, 2, 3):
+        for n in (0, 1, 2, 25, 200, 256, 257, 400):
+            pts = rng.uniform(size=(n, d))
+            for cutoff in (0.02, 0.2):
+                iu, ju, dist = _dense_pairs(pts, cutoff)
+                assert pair_count_within(pts, cutoff) == len(dist)
+                assert np.array_equal(_pair_distances_within(pts, cutoff), dist)
+                for b in (1.0, 0.5):
+                    assert pair_sum_power(pts, b, cutoff) == (
+                        float(np.sum(dist**b)) if len(dist) else 0.0
+                    )
+                mids = pair_midpoints(pts, cutoff)
+                assert mids.shape == (len(dist), d)
+                assert np.array_equal(mids, (pts[iu] + pts[ju]) / 2.0)
+            _, _, every = _dense_pairs(pts, np.inf)
+            every = every[every > 0]
+            assert pair_sum_inverse_power(pts, 4.0) == float(np.sum(every**-4.0))
+
+
+def test_cutoff_ties_decided_like_dense_path():
+    # A lattice puts many pairs at the cutoff up to rounding; a bare kd-tree
+    # query at the cutoff keeps 1122 of the 1298 pairs the dense test keeps.
+    g = np.arange(20) * 0.1
+    pts = np.array([(a, b) for a in g for b in g])
+    cutoff = 0.1 * np.sqrt(2)
+    iu, ju, dist = _dense_pairs(pts, cutoff)
+    assert len(dist) == 1298
+    assert pair_count_within(pts, cutoff) == len(dist)
+    assert np.array_equal(pair_midpoints(pts, cutoff), (pts[iu] + pts[ju]) / 2.0)
+
+
+def test_negative_cutoff_admits_no_pair():
+    pts = derive_rng(11).uniform(size=(300, 2))
+    for n in (2, 25, 300):
+        assert pair_count_within(pts[:n], -1.0) == 0
+        assert pair_sum_power(pts[:n], 1.0, -1.0) == 0.0
+        assert pair_midpoints(pts[:n], -1.0).shape == (0, 2)
+
+
+def test_zero_cutoff_counts_coincident_points():
+    pts = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2]])
+    assert pair_count_within(pts, 0.0) == 3
+    assert pair_sum_power(pts, 0.0, 0.0) == 3.0
+    assert np.array_equal(pair_midpoints(pts, 0.0), np.tile([0.1, 0.2], (3, 1)))
+    # the no-cutoff kernel skips the coincident pairs instead
+    far = np.linalg.norm(pts[1] - pts[0])
+    assert pair_sum_inverse_power(pts, 2.0) == 3 * far**-2.0
