@@ -10,7 +10,7 @@ from math import perm
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import AffineFlat, Domain, haar_frame, orthocomplement_basis, unit_ball_volume
+from .geometry import Domain, unit_ball_volume
 
 
 def sample_poisson(domain: Domain, t: float, rng: np.random.Generator) -> Configuration:
@@ -43,29 +43,45 @@ def sample_poisson_flats(
     t: float,
     window_radius: float,
     rng: np.random.Generator,
-) -> list[AffineFlat]:
+) -> np.ndarray:
     """Poisson process of m-flats in R^d hitting the centered ball of given radius.
 
-    Directions are Haar on the Grassmannian; given a direction, the
+    Returns an ``(n, m + 1, d)`` array: row 0 of each flat is its base point,
+    rows 1..m its orthonormal directions.  Directions are Haar on the
+    Grassmannian (QR of a Gaussian d x m matrix); given a direction, the
     translation is uniform on the (d-m)-ball of the window radius inside the
     orthogonal complement, which is exactly the hitting set of the window.
+
+    The draws stay per flat and in the order Gaussian frame, Gaussian
+    direction in the complement, uniform radius: the Gaussian sampler takes
+    a variable number of words per draw, so bulk draws would change the
+    stream.  The linear algebra is stacked over the flats and gives the same
+    bits as one flat at a time.
     """
     if not 1 <= m or not 2 * m < d:
         raise ValueError("need 1 <= m < d/2")
     if t < 0:
         raise ValueError("intensity must be nonnegative")
     n = rng.poisson(flats_hitting_mass(d, m, t, window_radius))
-    flats = []
-    for _ in range(n):
-        dirs = haar_frame(rng, d, m)
-        comp = orthocomplement_basis(dirs)  # (d-m, d)
-        dm = d - m
-        g = rng.standard_normal(dm)
-        g /= np.linalg.norm(g)
-        r = window_radius * rng.uniform() ** (1.0 / dm)
-        base = (r * g) @ comp
-        flats.append(AffineFlat(base=base, directions=dirs))
-    return flats
+    dm = d - m
+    gauss = np.empty((n, d, m))
+    g = np.empty((n, 1, dm))
+    r = np.empty((n, 1, 1))
+    for k in range(n):
+        gauss[k] = rng.standard_normal((d, m))
+        g[k, 0] = rng.standard_normal(dm)
+        # a Python float power: the array power differs in the last ulp
+        r[k] = window_radius * rng.uniform() ** (1.0 / dm)
+    q, _ = np.linalg.qr(gauss)
+    dirs = q.swapaxes(1, 2)  # (n, m, d)
+    _, _, vt = np.linalg.svd(dirs, full_matrices=True)
+    comp = vt[:, m:]  # (n, d-m, d), orthonormal complement rows
+    # sqrt of the matmul self-product is bitwise the 1-D np.linalg.norm
+    g /= np.sqrt(g @ g.swapaxes(1, 2))
+    frames = np.empty((n, m + 1, d))
+    frames[:, :1] = (r * g) @ comp
+    frames[:, 1:] = dirs
+    return frames
 
 
 class MeckeTestFunction:

@@ -204,13 +204,26 @@ def _flat_pair_midpoint_count_chunk(args, seed, lo, hi):
     return out
 
 
-def _count_close_line_pairs(flats, eps, ball_radius) -> int:
-    n = len(flats)
+def _count_close_line_pairs(frames, eps, ball_radius) -> int:
+    """Pairs of lines within ``eps`` whose closest-point midpoint lies in the ball.
+
+    ``frames`` is the ``(n, 2, 3)`` base/direction array of
+    ``sampling.sample_poisson_flats``.  With M = B x U row by row, the
+    symmetrized M U^T holds w . (u_i x u_j) = +-dist |u_i x u_j| for
+    w = b_i - b_j, and |u_i x u_j|^2 = 1 - c^2.  Pairs further apart than
+    2 eps are dropped up front; that slack dwarfs the rounding of either
+    form, so only the survivors need the exact per-pair formulas below.
+    """
+    n = len(frames)
     if n < 2:
         return 0
-    bases = np.asarray([f.base for f in flats])
-    dirs = np.asarray([f.directions[0] for f in flats])
-    iu, ju = np.triu_indices(n, k=1)
+    bases, dirs = frames[:, 0], frames[:, 1]
+    cross = np.cross(bases, dirs) @ dirs.T
+    triple = cross + cross.T
+    cos = dirs @ dirs.T
+    with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal when eps is infinite
+        near = triple * triple <= 4.0 * eps * eps * (1.0 - cos * cos)
+    iu, ju = np.nonzero(np.triu(near, k=1))
     u, v = dirs[iu], dirs[ju]
     w = bases[iu] - bases[ju]
     c = np.einsum("ij,ij->i", u, v)

@@ -18,7 +18,7 @@ from pplab.bounds import (
     thm_main_bound,
     ustat_poisson_bound,
 )
-from pplab.geometry import unit_ball_volume
+from pplab.geometry import haar_frame, subspace_determinant, unit_ball_volume
 from pplab.rng import derive_rng
 
 
@@ -252,6 +252,24 @@ def test_flats_constant_positive_and_identity():
 def test_flats_constant_mc():
     mean, se = flats_constant_mc(3, 1, samples=40_000, rng_seed=46)
     assert abs(mean - np.pi / 4) < 3 * se
+
+
+@pytest.mark.parametrize("d, m", [(3, 1), (5, 2)])
+def test_flats_constant_mc_matches_per_sample_loop(d, m):
+    samples = 3000
+    rng = derive_rng(11, 4242)
+    vals = np.array(
+        [subspace_determinant(haar_frame(rng, d, m), haar_frame(rng, d, m)) for _ in range(samples)]
+    )
+    vals *= 0.5 * unit_ball_volume(d - 2 * m)
+    want = (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples)))
+    assert flats_constant_mc(d, m, samples, rng_seed=11) == want
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_flats_constant_mc_needs_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2"):
+        flats_constant_mc(3, 1, samples)
 
 
 # --- polytope law ----------------------------------------------------------------

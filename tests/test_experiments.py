@@ -250,19 +250,19 @@ def test_rate_sanity_slope_to_800():
 
 
 def test_vectorized_line_pair_formulas_match_lstsq():
-    from pplab.geometry import flat_distance_midpoint
+    from pplab.geometry import AffineFlat, flat_distance_midpoint
     from pplab.rng import derive_rng
     from pplab.sampling import sample_poisson_flats
 
-    flats = sample_poisson_flats(3, 1, 4.0, 1.0, derive_rng(99))
-    assert len(flats) >= 2
-    counted = scenarios._count_close_line_pairs(flats, np.inf, np.inf)
-    assert counted == len(flats) * (len(flats) - 1) // 2
+    frames = sample_poisson_flats(3, 1, 4.0, 1.0, derive_rng(99))
+    assert len(frames) >= 2
+    counted = scenarios._count_close_line_pairs(frames, np.inf, np.inf)
+    assert counted == len(frames) * (len(frames) - 1) // 2
     # spot-check distances and midpoints against the least-squares solver
     import itertools
 
-    bases = np.asarray([f.base for f in flats])
-    dirs = np.asarray([f.directions[0] for f in flats])
+    flats = [AffineFlat(base=f[0], directions=f[1:]) for f in frames]
+    bases, dirs = frames[:, 0], frames[:, 1]
     for i, j in itertools.islice(itertools.combinations(range(len(flats)), 2), 12):
         dist_ref, mid_ref = flat_distance_midpoint(flats[i], flats[j])
         w = bases[i] - bases[j]
@@ -274,3 +274,88 @@ def test_vectorized_line_pair_formulas_match_lstsq():
         p2 = bases[j] + t2 * dirs[j]
         assert np.linalg.norm(p1 - p2) == pytest.approx(dist_ref, abs=1e-9)
         assert np.allclose((p1 + p2) / 2, mid_ref, atol=1e-9)
+
+
+def _all_pairs_line_geometry(frames):
+    """Closest-point distance, midpoint and the general-position flag of every pair."""
+    bases, dirs = frames[:, 0], frames[:, 1]
+    iu, ju = np.triu_indices(len(frames), k=1)
+    u, v = dirs[iu], dirs[ju]
+    w = bases[iu] - bases[ju]
+    c = np.einsum("ij,ij->i", u, v)
+    fu = np.einsum("ij,ij->i", w, u)
+    fv = np.einsum("ij,ij->i", w, v)
+    denom = 1.0 - c * c
+    ok = denom > 1e-14
+    t2 = np.where(ok, (fv - c * fu) / np.where(ok, denom, 1.0), 0.0)
+    t1 = c * t2 - fu
+    p1 = bases[iu] + t1[:, None] * u
+    p2 = bases[ju] + t2[:, None] * v
+    return np.linalg.norm(p1 - p2, axis=1), (p1 + p2) / 2.0, ok
+
+
+def _all_pairs_close_count(frames, eps, ball_radius):
+    """Every pair through the exact formulas, without pruning."""
+    dist, mid, ok = _all_pairs_line_geometry(frames)
+    return int((ok & (dist <= eps) & (np.linalg.norm(mid, axis=1) <= ball_radius)).sum())
+
+
+def _line_frames(*lines):
+    return np.array([[base, direction] for base, direction in lines], dtype=float)
+
+
+def test_pruned_line_pair_count_matches_all_pairs():
+    from pplab.rng import derive_rng
+    from pplab.sampling import sample_poisson_flats
+
+    t, ball_radius = 100.0, 0.6
+    eps = t**-2.0
+    total = 0
+    for i in range(300):
+        frames = sample_poisson_flats(3, 1, t, ball_radius + eps, derive_rng(42, i))
+        got = scenarios._count_close_line_pairs(frames, eps, ball_radius)
+        assert got == _all_pairs_close_count(frames, eps, ball_radius)
+        total += got
+    assert total > 0
+
+
+def test_line_pair_at_the_cutoff_is_counted():
+    # eps set to each pair's distance as the exact formulas round it: the
+    # pruning must never drop a pair the exact test keeps
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        frames = np.empty((2, 2, 3))
+        frames[:, 0] = rng.uniform(-0.3, 0.3, size=(2, 3))
+        g = rng.standard_normal((2, 3))
+        frames[:, 1] = g / np.linalg.norm(g, axis=1, keepdims=True)
+        (dist,), _, _ = _all_pairs_line_geometry(frames)
+        assert scenarios._count_close_line_pairs(frames, dist, np.inf) == 1
+
+
+@pytest.mark.parametrize("factor, expected", [(0.999, 1), (1.001, 0)])
+def test_line_pair_distance_either_side_of_eps(factor, expected):
+    eps = 1e-4
+    h = factor * eps / 2
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([np.cos(0.7), np.sin(0.7), 0.0])
+    frames = _line_frames(
+        (np.array([0.0, 0.0, -h]) + 0.3 * u, u),
+        (np.array([0.0, 0.0, h]) - 0.2 * v, v),
+    )
+    assert scenarios._count_close_line_pairs(frames, eps, 0.6) == expected
+    assert _all_pairs_close_count(frames, eps, 0.6) == expected
+
+
+@pytest.mark.parametrize("sin2, expected", [(2e-14, 1), (0.5e-14, 0)])
+def test_near_parallel_line_pairs_either_side_of_denominator_floor(sin2, expected):
+    # 1 - c^2 = sin^2 of the angle; pairs at or below 1e-14 are degenerate
+    eps = 1e-4
+    phi = np.arcsin(np.sqrt(sin2))
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([np.cos(phi), np.sin(phi), 0.0])
+    frames = _line_frames(
+        (np.array([0.0, 0.0, -eps / 4]), u),
+        (np.array([0.0, 0.0, eps / 4]), v),
+    )
+    assert scenarios._count_close_line_pairs(frames, eps, 0.6) == expected
+    assert _all_pairs_close_count(frames, eps, 0.6) == expected

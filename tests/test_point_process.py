@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from pplab.configuration import Configuration
-from pplab.geometry import Domain
+from pplab.geometry import AffineFlat, Domain, haar_frame, orthocomplement_basis
 from pplab.metrics import tv_against_poisson
 from pplab.rng import derive_rng
 from pplab.sampling import (
@@ -114,7 +114,34 @@ def test_binomial_matches_conditioned_poisson():
 
 
 def test_flats_t0_empty():
-    assert sample_poisson_flats(3, 1, 0.0, 1.0, derive_rng(1)) == []
+    flats = sample_poisson_flats(3, 1, 0.0, 1.0, derive_rng(1))
+    assert flats.shape == (0, 2, 3)
+
+
+def _per_flat_flats(d, m, t, window_radius, rng):
+    """One flat at a time from the geometry primitives, stacked as base/direction rows."""
+    n = rng.poisson(flats_hitting_mass(d, m, t, window_radius))
+    rows = np.empty((n, m + 1, d))
+    for k in range(n):
+        dirs = haar_frame(rng, d, m)
+        comp = orthocomplement_basis(dirs)
+        g = rng.standard_normal(d - m)
+        g /= np.linalg.norm(g)
+        r = window_radius * rng.uniform() ** (1.0 / (d - m))
+        flat = AffineFlat(base=(r * g) @ comp, directions=dirs)
+        rows[k, 0] = flat.base
+        rows[k, 1:] = flat.directions
+    return rows
+
+
+@pytest.mark.parametrize("d, m", [(3, 1), (5, 2)])
+@pytest.mark.parametrize("t", [0.0, 3.0, 40.0])
+def test_flats_match_per_flat_oracle(d, m, t):
+    for seed in (1, 7, 42, 2024):
+        got = sample_poisson_flats(d, m, t, 0.8, derive_rng(seed, 5))
+        want = _per_flat_flats(d, m, t, 0.8, derive_rng(seed, 5))
+        assert got.shape == want.shape == (len(want), m + 1, d)
+        assert np.array_equal(got, want)
 
 
 def test_flats_rejects_bad_m():
@@ -129,10 +156,10 @@ def test_flats_count_and_hitting():
     for i in range(reps):
         flats = sample_poisson_flats(3, 1, t, 1.0, derive_rng(13, i))
         counts[i] = len(flats)
-        for f in flats[:3]:
+        for base, direction in flats[:3]:
             # base lies in the orthocomplement, so it realizes the distance
-            assert abs(f.base @ f.directions[0]) < 1e-10
-            assert np.linalg.norm(f.base) <= 1.0 + 1e-12
+            assert abs(base @ direction) < 1e-10
+            assert np.linalg.norm(base) <= 1.0 + 1e-12
     expect = flats_hitting_mass(3, 1, t, 1.0)
     assert expect == pytest.approx(np.pi * t)
     se = counts.std(ddof=1) / np.sqrt(reps)
