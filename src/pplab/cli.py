@@ -68,30 +68,35 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "ot":
-        from .verify_ot import run_ot_verification
+    try:
+        if args.suite == "ot":
+            from .verify_ot import run_ot_verification
 
-        report = run_ot_verification(seed=args.seed, instances=args.reps or 200)
-        print(report["text"])
-        return 0 if report["passed"] else 2
-    if args.suite == "mecke":
-        cfg = scenarios.ScenarioConfig(
-            scenario="mecke-verify",
-            d=2,
-            t_grid=(50.0,),
-            reps=args.reps or 10_000,
-            seed=args.seed,
-            params={"n": 50},
-        )
-    else:
-        cfg = scenarios.ScenarioConfig(
-            scenario="glauber-verify",
-            d=1,
-            t_grid=(1.0,),
-            reps=args.reps or 100_000,
-            seed=args.seed,
-        )
-    result = scenarios.run(cfg)
+            instances = 200 if args.reps is None else args.reps
+            report = run_ot_verification(seed=args.seed, instances=instances)
+            print(report["text"])
+            return 0 if report["passed"] else 2
+        if args.suite == "mecke":
+            cfg = scenarios.ScenarioConfig(
+                scenario="mecke-verify",
+                d=2,
+                t_grid=(50.0,),
+                reps=10_000 if args.reps is None else args.reps,
+                seed=args.seed,
+                params={"n": 50},
+            )
+        else:
+            cfg = scenarios.ScenarioConfig(
+                scenario="glauber-verify",
+                d=1,
+                t_grid=(1.0,),
+                reps=100_000 if args.reps is None else args.reps,
+                seed=args.seed,
+            )
+        result = scenarios.run(cfg)
+    except ValueError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
     for row in result.rows:
         status = "ok " if row.passed else "FAIL"
         print(

@@ -199,6 +199,8 @@ def commutation_check(
     mean of the added-atom increment of h at time s.  Returns
     (lhs, rhs, pooled standard error).
     """
+    if reps < 2:
+        raise ValueError(f"need at least 2 replications for a standard error, got {reps}")
     if s == 0:
         plus = omega.copy()
         plus.add(y)

@@ -228,11 +228,6 @@ class TransportPlan:
 
     slackness_residual: float = 0.0
 
-    def feasibility_residual(self) -> float:
-        r = np.abs(self.plan.sum(axis=1) - self.row_marginal).max()
-        c = np.abs(self.plan.sum(axis=0) - self.col_marginal).max()
-        return float(max(r, c))
-
 
 def ot_exact(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> TransportPlan:
     """Exact optimal transport plan between two discrete marginals.
@@ -305,10 +300,6 @@ class KrEstimate:
     estimate: float
     noise_floor: float
     noise_floor_std: float
-
-    @property
-    def excess(self) -> float:
-        return max(0.0, self.estimate - self.noise_floor)
 
 
 def _uniform_ot_cost(configs_a, configs_b) -> float:

@@ -95,6 +95,8 @@ def _solve_tree(n, m, edges, mu, nu):
 
 def run_ot_verification(seed: int = 0, instances: int = 200) -> dict:
     """Compare the LP solver against both oracles on random small instances."""
+    if instances < 1:
+        raise ValueError(f"need at least 1 instance, got {instances}")
     rng = derive_rng(seed, 90_210)
     max_cost_err = 0.0
     max_gap = 0.0

@@ -78,6 +78,33 @@ def test_config_validation():
         {"scenario": "mecke-verify", "d": 2, "t_grid": [20.0], "reps": 50, "seed": 3}
     )
     assert cfg.scenario == "mecke-verify"
+    # one replication has no sample standard error: its rows would carry NaN
+    for scenario in ("flats", "mecke-verify", "glauber-verify", "kr-estimate"):
+        with pytest.raises(ValueError, match=">= 2"):
+            ScenarioConfig(scenario=scenario, d=3, reps=1).validate()
+        ScenarioConfig(scenario=scenario, d=3, reps=2).validate()
+
+
+def test_glauber_small_reps_rows_have_standard_errors():
+    # reps // 4 is 1 here; the default commutation run count must still give
+    # every commutation row a finite standard error
+    cfg = ScenarioConfig(scenario="glauber-verify", d=1, t_grid=(1.0,), reps=4, seed=3)
+    res = scenarios.run(cfg)
+    commutation = [r for r in res.rows if r.statistic.startswith("commutation-")]
+    assert len(commutation) == 6
+    assert all(np.isfinite(r.stderr) for r in res.rows)
+    cfg.params = {"commutation_reps": 1}
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        scenarios.run(cfg)
+
+
+CONFIGS = sorted((SRC.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_configs_load(path):
+    cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
+    assert cfg.scenario in scenarios.SCENARIO_NAMES
 
 
 def test_emit_csv_single_row(tmp_path):
@@ -206,6 +233,15 @@ def test_cli_list_scenarios():
     assert proc.returncode == 0
     for name in scenarios.SCENARIO_NAMES:
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("suite, reps", [("mecke", "0"), ("glauber", "-5"), ("ot", "0")])
+def test_cli_verify_rejects_bad_reps(suite, reps):
+    # an explicit count is used as given: 0 must not fall back to the default
+    proc = _run_cli("verify", "--suite", suite, "--reps", reps)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "scenario error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_verify_ot_suite():

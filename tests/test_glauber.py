@@ -106,6 +106,13 @@ def test_commutation_s0_exact():
     assert lhs == rhs == 1.0 and pooled == 0.0
 
 
+@pytest.mark.parametrize("reps", [0, 1])
+def test_commutation_needs_two_reps(reps):
+    h = lambda w: float(w.total())
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        commutation_check(OMEGA, 0.3, h, TARGET, 1.0, reps, 12)
+
+
 def test_commutation_count_functional():
     # for the count, the left side is exactly e^{-s} in expectation and the
     # right side is e^{-s} deterministically
