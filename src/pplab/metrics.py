@@ -1,9 +1,17 @@
 """Probability distances, configuration transport cost, and exact discrete
 optimal transport.
 
-The optimal-transport solver returns dual potentials certifying optimality;
-acceptance requires exact agreement with brute-force enumeration on small
-instances, so no regularized solver is used anywhere.
+`ot_exact` is the certified general solver: a HiGHS transportation LP that
+returns dual potentials certifying optimality. Acceptance criterion A1 and
+`pplab verify --suite ot` require its exact agreement with brute-force
+enumeration on small instances, so no regularized solver is used anywhere.
+
+The empirical KR surrogate (`empirical_kr`) transports uniform weights
+between two equally sized samples of configurations. That problem has a
+permutation optimum, so it is solved exactly as an assignment problem on the
+integer configuration-TV cost matrix, without the LP. For diffuse
+configurations the TV cost depends only on the point counts, so the
+surrogate compares count laws, not locations.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .configuration import Configuration
 
@@ -192,21 +200,41 @@ def _wasserstein_integer(p, q) -> float:
     return float(np.abs(fp - fq).sum())
 
 
-def config_tv_cost(omega1: Configuration, omega2: Configuration) -> float:
-    """Total variation distance between two finite counting measures.
+def _tv_cost_matrix(configs_a, configs_b) -> np.ndarray:
+    """Integer matrix of total variation distances between two lists of
+    finite counting measures.
 
-    Atoms match only at bit-identical locations; the value is the larger
-    of the two unmatched point counts, which realizes the supremum over
-    measurable sets.
+    Atoms match only at bit-identical locations. Entry (i, j) is the larger of
+    the two unmatched point counts, max(|a_i|, |b_j|) - matched(i, j),
+    which realizes the supremum over measurable sets; matched(i, j) sums
+    the smaller multiplicity over the keys the two configurations share.
     """
-    if omega1.space != omega2.space:
+    if len({c.space for c in configs_a} | {c.space for c in configs_b}) > 1:
         raise ValueError("configurations live on different spaces")
-    matched = 0
-    for loc, m1 in omega1.atoms.items():
-        m2 = omega2.atoms.get(loc)
-        if m2:
-            matched += min(m1, m2)
-    return float(max(omega1.total() - matched, omega2.total() - matched))
+    totals_a = np.array([c.total() for c in configs_a], dtype=np.int64)
+    totals_b = np.array([c.total() for c in configs_b], dtype=np.int64)
+    by_key_b: dict = {}
+    for j, cb in enumerate(configs_b):
+        for loc, mult in cb.atoms.items():
+            by_key_b.setdefault(loc, []).append((j, mult))
+    by_key_a: dict = {}
+    for i, ca in enumerate(configs_a):
+        for loc, mult in ca.atoms.items():
+            if loc in by_key_b:
+                by_key_a.setdefault(loc, []).append((i, mult))
+    matched = np.zeros((len(configs_a), len(configs_b)), dtype=np.int64)
+    for loc, atoms_a in by_key_a.items():
+        rows, mults_a = zip(*atoms_a)
+        cols, mults_b = zip(*by_key_b[loc])
+        # a key occurs once per configuration, so no index repeats in a block
+        matched[np.ix_(rows, cols)] += np.minimum.outer(mults_a, mults_b)
+    return np.maximum.outer(totals_a, totals_b) - matched
+
+
+def config_tv_cost(omega1: Configuration, omega2: Configuration) -> float:
+    """Total variation distance between two finite counting measures: the
+    one-entry case of `_tv_cost_matrix`."""
+    return float(_tv_cost_matrix([omega1], [omega2])[0, 0])
 
 
 @dataclass
@@ -303,13 +331,19 @@ class KrEstimate:
 
 
 def _uniform_ot_cost(configs_a, configs_b) -> float:
-    na, nb = len(configs_a), len(configs_b)
-    cost = np.empty((na, nb))
-    for i, ca in enumerate(configs_a):
-        for j, cb in enumerate(configs_b):
-            cost[i, j] = config_tv_cost(ca, cb)
-    plan = ot_exact(cost, np.full(na, 1.0 / na), np.full(nb, 1.0 / nb))
-    return plan.cost
+    """Optimal transport cost between the uniform measures on two equally
+    sized lists of configurations, with configuration TV as ground cost.
+
+    A uniform square transport problem has a permutation optimum
+    (Birkhoff-von Neumann), so the assignment solver is exact; the costs are
+    integers, so the value is one correctly rounded division.
+    """
+    n = len(configs_a)
+    if len(configs_b) != n:
+        raise ValueError("both collections must have the same size")
+    cost = _tv_cost_matrix(configs_a, configs_b)
+    rows, cols = linear_sum_assignment(cost)
+    return int(cost[rows, cols].sum()) / n
 
 
 def empirical_kr(

@@ -16,7 +16,9 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
         raise ValueError("seed must be a nonnegative integer")
     if any(s < 0 for s in stream):
         raise ValueError("stream ids must be nonnegative integers")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(stream)))
+    # the generator default_rng(ss) returns, built without its argument dispatch
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(stream))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 class SeededRng:

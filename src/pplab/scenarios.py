@@ -56,9 +56,16 @@ class ScenarioConfig:
         grid = list(self.t_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nonempty and strictly increasing")
-        if self.reps < 2:
+        self._check_reps(self.reps)
+        for t, reps in self.params.get("reps_by_t", {}).items():
+            if float(t) not in grid:
+                raise ValueError(f"reps_by_t key {t!r} is not in t_grid")
+            self._check_reps(int(reps))
+
+    def _check_reps(self, reps: int) -> None:
+        if reps < 2:
             raise ValueError("replications must be >= 2 for a sample standard error")
-        if self.scenario in DISTANCE_SCENARIOS and self.reps < 1000:
+        if self.scenario in DISTANCE_SCENARIOS and reps < 1000:
             raise ValueError("distance estimation scenarios need at least 1000 replications")
 
     @classmethod

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pplab import reporting, scenarios
+from pplab import metrics, reporting, scenarios
 from pplab.scenarios import ResultRow, ScenarioConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,6 +83,31 @@ def test_config_validation():
         with pytest.raises(ValueError, match=">= 2"):
             ScenarioConfig(scenario=scenario, d=3, reps=1).validate()
         ScenarioConfig(scenario=scenario, d=3, reps=2).validate()
+
+
+@pytest.mark.parametrize(
+    "reps_by_t, message",
+    [
+        ({"100.0": 1}, ">= 2"),  # one replication: a 1e-06 stderr from the variance floor
+        ({"100.0": 0}, ">= 2"),  # no replication: a division by zero
+        ({"100.0": 999}, "at least 1000"),
+        ({"100.0": 3000, "200.0": 1000}, "not in t_grid"),  # silently unused
+    ],
+    ids=["one-rep", "zero-reps", "below-1000", "unknown-t"],
+)
+def test_polytope_reps_by_t_validated(reps_by_t, message):
+    cfg = ScenarioConfig(scenario="polytope", d=3, t_grid=(100.0, 400.0), reps=1000,
+                         params={"reps_by_t": reps_by_t})
+    with pytest.raises(ValueError, match=message):
+        scenarios.run(cfg)
+
+
+def test_polytope_reps_by_t_override_is_used():
+    # an integer-valued key names the same t as the float in t_grid
+    override = ScenarioConfig(scenario="polytope", d=3, t_grid=(100.0,), reps=1000, seed=5,
+                              params={"reps_by_t": {"100": 2000}})
+    plain = ScenarioConfig(scenario="polytope", d=3, t_grid=(100.0,), reps=2000, seed=5)
+    assert scenarios.run(override).rows == scenarios.run(plain).rows
 
 
 def test_glauber_small_reps_rows_have_standard_errors():
@@ -268,6 +293,27 @@ def test_scenario_rows_reproducible_fields():
     surrogate = [r for r in res.rows if r.distance_name == "kr-surrogate"][0]
     floor = [r for r in res.rows if r.distance_name == "kr-noise-floor"][0]
     assert surrogate.distance >= 0 and floor.distance >= 0
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("gilbert-midpoints", {"n_configs": 100}),
+        ("kr-estimate", {"mode": "identity-mapping", "n_configs": 100}),
+        ("kr-estimate", {"mode": "poisson-counts", "n_configs": 100}),
+    ],
+    ids=["midpoints", "identity-mapping", "poisson-counts"],
+)
+def test_kr_scenarios_make_no_lp_call(monkeypatch, scenario, params):
+    # the surrogate is an assignment problem; the LP is only the certified
+    # general solver of `pplab verify --suite ot`
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called on a scenario path")
+
+    monkeypatch.setattr(metrics, "linprog", no_lp)
+    cfg = ScenarioConfig(scenario=scenario, d=2, t_grid=(50.0,), seed=4, params=params)
+    rows = scenarios.run(cfg).rows
+    assert [r.distance_name for r in rows] == ["kr-surrogate", "kr-noise-floor"]
 
 
 def test_rate_sanity_slope_to_800():

@@ -180,6 +180,103 @@ def test_config_tv_subset_enumeration_oracle():
 def test_config_tv_space_mismatch():
     with pytest.raises(ValueError):
         config_tv_cost(Configuration(space="a"), Configuration(space="b"))
+    a = [Configuration({0.0: 1}, space="a") for _ in range(100)]
+    b = [Configuration({0.0: 1}, space="b") for _ in range(100)]
+    with pytest.raises(ValueError, match="different spaces"):
+        empirical_kr(a, b)
+    with pytest.raises(ValueError, match="different spaces"):
+        empirical_kr(a[:99] + b[:1], a)
+
+
+def _pairwise_tv_loop(configs_a, configs_b) -> np.ndarray:
+    """The pair-by-pair dict loop the cost matrix replaced, kept as its oracle."""
+    cost = np.empty((len(configs_a), len(configs_b)))
+    for i, ca in enumerate(configs_a):
+        for j, cb in enumerate(configs_b):
+            if ca.space != cb.space:
+                raise ValueError("configurations live on different spaces")
+            matched = 0
+            for loc, m1 in ca.atoms.items():
+                m2 = cb.atoms.get(loc)
+                if m2:
+                    matched += min(m1, m2)
+            cost[i, j] = float(max(ca.total() - matched, cb.total() - matched))
+    return cost
+
+
+def _mixed_configs(rng, n):
+    """Diffuse atoms, atoms on a five-point grid that configurations share,
+    multiplicities up to 3, and some empty configurations."""
+    out = []
+    for _ in range(n):
+        atoms = {float(x): 1 for x in rng.uniform(size=rng.poisson(1.5))}
+        for x in rng.integers(0, 5, size=rng.poisson(2.0)):
+            atoms[float(x)] = atoms.get(float(x), 0) + int(rng.integers(1, 4))
+        out.append(Configuration(atoms, space="mixed"))
+    return out
+
+
+def _diffuse_configs(rng, n, mean):
+    return [
+        Configuration.from_array(rng.uniform(size=(rng.poisson(mean), 2)), space="cube(2)")
+        for _ in range(n)
+    ]
+
+
+def _transport_layouts():
+    rng = derive_rng(67)
+    mixed_a = _mixed_configs(rng, 40)
+    # half copies: every atom of a copy is shared with its original
+    mixed_b = [c.copy() for c in mixed_a[:20]] + _mixed_configs(rng, 20)
+    diffuse = _diffuse_configs(rng, 30, 3.0)
+    counts_a = _count_configs(1.5, 30, 68)
+    counts_b = _count_configs(2.5, 30, 69)
+    empties = [Configuration(space="cube(2)") for _ in range(3)]
+    return {
+        "mixed": (mixed_a, mixed_b),
+        "diffuse": (diffuse, _diffuse_configs(rng, 25, 3.0)),
+        "diffuse-copies": (diffuse, [c.copy() for c in diffuse[::-1]]),
+        "counts": (counts_a, counts_b),
+        "empty": (empties, diffuse[:5] + empties),
+    }
+
+
+@pytest.mark.parametrize("layout", ["mixed", "diffuse", "diffuse-copies", "counts", "empty"])
+def test_tv_cost_matrix_matches_pairwise_loop(layout):
+    a, b = _transport_layouts()[layout]
+    cost = metrics._tv_cost_matrix(a, b)
+    assert np.issubdtype(cost.dtype, np.integer)
+    assert cost.shape == (len(a), len(b))
+    assert (cost == _pairwise_tv_loop(a, b)).all()
+    for i, j in [(0, 0), (len(a) - 1, len(b) - 1), (1, 2)]:
+        assert config_tv_cost(a[i], b[j]) == _pairwise_tv_loop([a[i]], [b[j]])[0, 0]
+
+
+@pytest.mark.parametrize("n", [100, 150])
+def test_uniform_ot_cost_matches_lp(n):
+    rng = derive_rng(70, n)
+    for _ in range(3):
+        a = _mixed_configs(rng, n)
+        b = [c.copy() for c in a[: n // 3]] + _mixed_configs(rng, n - n // 3)
+        uniform = np.full(n, 1.0 / n)
+        lp = ot_exact(_pairwise_tv_loop(a, b), uniform, uniform).cost
+        assert metrics._uniform_ot_cost(a, b) == pytest.approx(lp, abs=1e-12)
+
+
+def test_uniform_ot_cost_sorted_closed_forms():
+    # diffuse configurations share no atom: the cost is max(|a|, |b|)
+    rng = derive_rng(71)
+    a = _diffuse_configs(rng, 120, 3.0)
+    b = _diffuse_configs(rng, 120, 4.0)
+    na = np.sort([c.total() for c in a])
+    nb = np.sort([c.total() for c in b])
+    assert metrics._uniform_ot_cost(a, b) == np.mean(np.maximum(na, nb))
+    # every atom at 0.0 (the poisson-counts layout): the cost is | |a| - |b| |
+    a = _count_configs(1.0, 120, 72)
+    b = _count_configs(2.0, 120, 73)
+    na = np.sort([c.total() for c in a])
+    nb = np.sort([c.total() for c in b])
+    assert metrics._uniform_ot_cost(a, b) == np.mean(np.abs(na - nb))
 
 
 # --- exact optimal transport --------------------------------------------------

@@ -33,6 +33,16 @@ def test_reproducibility_bit_identical():
     assert a != c
 
 
+@pytest.mark.parametrize("seed, stream", [(0, ()), (42, ()), (42, (7,)), (3, (555_001, 2)), (9, (1, 2, 3))])
+def test_derive_rng_matches_default_rng(seed, stream):
+    # the RNG contract: a stream is default_rng of the (seed, stream) SeedSequence
+    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=stream))
+    got = derive_rng(seed, *stream)
+    assert np.array_equal(got.integers(0, 2**63, size=64), want.integers(0, 2**63, size=64))
+    assert np.array_equal(got.normal(size=16), want.normal(size=16))
+    assert got.poisson(3.5) == want.poisson(3.5)
+
+
 def test_poisson_count_moments():
     dom = Domain("cube", 2)
     reps = 10_000
