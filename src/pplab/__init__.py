@@ -10,6 +10,6 @@ bounds.
 __version__ = "0.1.0"
 
 from .configuration import Configuration
-from .geometry import AffineFlat, Domain, unit_ball_volume
+from .geometry import Domain, unit_ball_volume
 
-__all__ = ["Configuration", "Domain", "AffineFlat", "unit_ball_volume", "__version__"]
+__all__ = ["Configuration", "Domain", "unit_ball_volume", "__version__"]

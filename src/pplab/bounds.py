@@ -213,9 +213,6 @@ class MomentPair:
     mean_se: float = 0.0
     second_se: float = 0.0
 
-    def jensen_defect(self) -> float:
-        return self.second_moment - self.mean**2
-
 
 def gilbert_moments(
     d: int, t: float, cutoff: float, mode: str = "poisson", n: int | None = None
@@ -233,36 +230,6 @@ def gilbert_moments(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return MomentPair(mean=mean, second_moment=second, method="quadrature")
-
-
-def gilbert_moments_mc(
-    d: int,
-    t: float,
-    cutoff: float,
-    reps: int,
-    rng_seed: int,
-    mode: str = "poisson",
-    n: int | None = None,
-) -> MomentPair:
-    """Monte Carlo moments of the edge count, as an oracle for the
-    quadrature path."""
-    from .transform import pair_count_within
-
-    counts = np.empty(reps)
-    for i in range(reps):
-        rng = derive_rng(rng_seed, i)
-        npts = rng.poisson(t) if mode == "poisson" else n
-        pts = rng.uniform(size=(npts, d))
-        counts[i] = pair_count_within(pts, cutoff)
-    mean = float(counts.mean())
-    second = float((counts**2).mean())
-    return MomentPair(
-        mean=mean,
-        second_moment=second,
-        method="monte-carlo",
-        mean_se=float(counts.std(ddof=1) / sqrt(reps)),
-        second_se=float((counts**2).std(ddof=1) / sqrt(reps)),
-    )
 
 
 # ---------------------------------------------------------------------------

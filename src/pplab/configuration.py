@@ -67,16 +67,6 @@ class Configuration:
         key = location_key(loc)
         self.atoms[key] = self.atoms.get(key, 0) + int(mult)
 
-    def remove(self, loc, mult: int = 1) -> None:
-        key = location_key(loc)
-        have = self.atoms.get(key, 0)
-        if have < mult:
-            raise KeyError(f"configuration has no {mult} atoms at {key!r}")
-        if have == mult:
-            del self.atoms[key]
-        else:
-            self.atoms[key] = have - mult
-
     def total(self) -> int:
         """Total point count (sum of multiplicities)."""
         return sum(self.atoms.values())
@@ -88,13 +78,6 @@ class Configuration:
             out.extend([loc] * mult)
         return out
 
-    def as_array(self) -> np.ndarray:
-        """Expanded locations as an array; (n,) for reals, (n, d) for vectors."""
-        pts = self.points()
-        if not pts:
-            return np.empty((0,))
-        return np.asarray(pts, dtype=float)
-
     def merge(self, other: "Configuration") -> "Configuration":
         """Superposition of two configurations (sum of counting measures)."""
         if self.space != other.space:
@@ -105,10 +88,6 @@ class Configuration:
         for loc, mult in other.atoms.items():
             out.add(loc, mult)
         return out
-
-    def count_in(self, predicate) -> int:
-        """Number of points whose location satisfies the predicate."""
-        return sum(mult for loc, mult in self.atoms.items() if predicate(loc))
 
     def count_interval(self, lo: float, hi: float) -> int:
         """Points in [lo, hi]; locations must be real numbers."""

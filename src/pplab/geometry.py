@@ -1,4 +1,9 @@
-"""Ground spaces, convex-geometry constants, and affine-flat primitives.
+"""Ground spaces, convex-geometry constants, and Grassmannian primitives.
+
+The Haar-frame and subspace-determinant helpers define, one flat pair at a
+time, what the batched flat sampler and the Haar-constant Monte Carlo
+compute in bulk; tests compare the two.  The least-squares distance
+between flats is a test oracle in ``tests/oracles.py``.
 
 All functions here are pure; nothing mutates its inputs.
 """
@@ -9,9 +14,6 @@ from dataclasses import dataclass
 from math import comb, gamma, pi
 
 import numpy as np
-
-ORTHONORMAL_TOL = 1e-12
-GENERAL_POSITION_TOL = 1e-10
 
 
 def unit_ball_volume(d: int) -> float:
@@ -30,29 +32,22 @@ class Domain:
         "ball"   -- centered ball of given radius, Lebesgue reference measure
         "sphere" -- unit sphere S^(dim-1) in R^dim, NORMALIZED surface
                     measure (total mass 1)
-        "box"    -- axis box given by bounds, Lebesgue reference measure
     """
 
     kind: str
     dim: int
     side: float = 1.0
     radius: float = 1.0
-    bounds: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind not in ("cube", "ball", "sphere", "box"):
+        if self.kind not in ("cube", "ball", "sphere"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == "cube" and self.side <= 0:
             raise ValueError("cube side must be positive")
         if self.kind in ("ball", "sphere") and self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.kind == "box":
-            if len(self.bounds) != self.dim:
-                raise ValueError("box needs one (lo, hi) pair per dimension")
-            if any(hi <= lo for lo, hi in self.bounds):
-                raise ValueError("box bounds must have hi > lo")
 
     @property
     def mass(self) -> float:
@@ -61,9 +56,7 @@ class Domain:
             return self.side ** self.dim
         if self.kind == "ball":
             return unit_ball_volume(self.dim) * self.radius ** self.dim
-        if self.kind == "sphere":
-            return 1.0
-        return float(np.prod([hi - lo for lo, hi in self.bounds]))
+        return 1.0
 
     @property
     def space_tag(self) -> str:
@@ -71,9 +64,7 @@ class Domain:
             return f"cube({self.dim},{self.side})"
         if self.kind == "ball":
             return f"ball({self.dim},{self.radius})"
-        if self.kind == "sphere":
-            return f"sphere({self.dim})"
-        return f"box({self.dim})"
+        return f"sphere({self.dim})"
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws from the normalized reference measure, shape (n, dim)."""
@@ -81,10 +72,6 @@ class Domain:
             return np.empty((0, self.dim))
         if self.kind == "cube":
             return rng.uniform(0.0, self.side, size=(n, self.dim))
-        if self.kind == "box":
-            lo = np.array([b[0] for b in self.bounds])
-            hi = np.array([b[1] for b in self.bounds])
-            return rng.uniform(lo, hi, size=(n, self.dim))
         if self.kind == "sphere":
             g = rng.standard_normal((n, self.dim))
             return self.radius * g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -143,36 +130,6 @@ def cube_shell_constant(d: int) -> float:
     ) if d >= 1 else 0.0
 
 
-@dataclass(frozen=True)
-class AffineFlat:
-    """m-dimensional affine subspace of R^d: base point plus orthonormal directions."""
-
-    base: np.ndarray
-    directions: np.ndarray  # (m, d), orthonormal rows
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "directions", dirs)
-        m, d = dirs.shape
-        if base.shape != (d,):
-            raise ValueError("base point dimension must match direction dimension")
-        if not (1 <= m <= d - 1):
-            raise ValueError("need 1 <= m <= d-1 directions")
-        gram = dirs @ dirs.T
-        if np.max(np.abs(gram - np.eye(m))) > ORTHONORMAL_TOL:
-            raise ValueError("directions must be orthonormal")
-
-    @property
-    def m(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-
 def subspace_determinant(dirs_l: np.ndarray, dirs_m: np.ndarray) -> float:
     """2m-volume of the parallelepiped spanned by two orthonormal m-frames.
 
@@ -218,31 +175,3 @@ def orthocomplement_basis(directions: np.ndarray) -> np.ndarray:
     m, d = dirs.shape
     _, _, vt = np.linalg.svd(dirs, full_matrices=True)
     return vt[m:].copy()
-
-
-def flat_distance_midpoint(e: AffineFlat, f: AffineFlat) -> tuple[float, np.ndarray]:
-    """Distance between two flats in general position and the midpoint of the
-    realizing segment.
-
-    Solves the least-squares problem min |(a + A u) - (b + B v)| over the
-    coefficient vectors.  Raises if the direction spans are degenerate
-    (parallel or partially parallel flats) or if the flats intersect.
-    """
-    if e.dim != f.dim:
-        raise ValueError("flats live in different ambient dimensions")
-    if e.m != f.m:
-        raise ValueError("flats have different dimensions")
-    a, b = e.base, f.base
-    g = np.hstack([e.directions.T, -f.directions.T])  # d x 2m
-    sv = np.linalg.svd(g, compute_uv=False)
-    scale = max(1.0, float(np.linalg.norm(a - b)))
-    if sv[-1] < GENERAL_POSITION_TOL:
-        raise ValueError("flats are parallel or partially parallel (degenerate position)")
-    w, *_ = np.linalg.lstsq(g, b - a, rcond=None)
-    m = e.m
-    p_e = a + e.directions.T @ w[:m]
-    p_f = b + f.directions.T @ w[m:]
-    dist = float(np.linalg.norm(p_e - p_f))
-    if dist < GENERAL_POSITION_TOL * scale:
-        raise ValueError("flats intersect (degenerate position)")
-    return dist, (p_e + p_f) / 2.0

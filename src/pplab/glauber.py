@@ -1,16 +1,18 @@
 """Spatial birth-death dynamics whose invariant law is a finite-intensity
-Poisson process.
+Poisson process, and the checks the ``glauber-verify`` scenario runs on it.
 
-Two simulators are provided on purpose: the event-driven trajectory
-construction (births at the intensity's total rate, unit per-particle death
-rate) and the closed-form one-step law (thin the start, superpose an
-independent Poisson sample).  Each serves as the other's oracle.
+Two simulators are provided on purpose: the event-driven construction
+(births at the intensity's total rate, unit per-particle death rate) and
+the closed-form one-step law (thin the start, superpose an independent
+Poisson sample).  Each serves as the other's oracle.  On top of them,
+``commutation_check`` compares the gradient of the evolved functional with
+the evolved gradient, and ``ergodicity_check`` follows the count law to
+the stationary Poisson law.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +42,6 @@ class TargetIntensity:
         )
 
 
-@dataclass
-class BirthDeathTrajectory:
-    """Event log of one birth-death run: (time, 'birth'/'death', location)."""
-
-    initial: Configuration
-    horizon: float
-    events: list = field(default_factory=list)
-    final: Configuration = None
-
-
 def _sample_locations(target: TargetIntensity, rng, n: int) -> list:
     if n == 0:
         return []
@@ -66,26 +58,19 @@ def simulate_event_driven(
     target: TargetIntensity,
     s: float,
     rng: np.random.Generator,
-    trajectory: bool = False,
-):
+) -> Configuration:
     """State of the birth-death process at time s started from omega.
 
     Births arrive as a homogeneous Poisson process of rate mass on [0, s]
     and are placed by the location sampler; every particle, initial or
     born, carries an independent unit-rate exponential lifetime.
-    Returns the surviving configuration (and the event log if asked).
+    Returns the surviving configuration.
     """
     if s < 0:
         raise ValueError("horizon must be nonnegative")
-    final = Configuration(space=omega.space or target.space)
-    log = BirthDeathTrajectory(initial=omega.copy(), horizon=s) if trajectory else None
-
     if s == 0:
-        final = omega.copy()
-        if trajectory:
-            log.final = final
-            return final, log
-        return final
+        return omega.copy()
+    final = Configuration(space=omega.space or target.space)
 
     initial_pts = omega.points()
     init_lifetimes = rng.exponential(size=len(initial_pts))
@@ -97,19 +82,9 @@ def simulate_event_driven(
     for p, life in zip(initial_pts, init_lifetimes):
         if life >= s:
             final.add(p)
-        elif trajectory:
-            log.events.append((float(life), "death", p))
     for t_b, loc, life in zip(birth_times, birth_locs, birth_lifetimes):
-        if trajectory:
-            log.events.append((float(t_b), "birth", loc))
         if t_b + life >= s:
             final.add(loc)
-        elif trajectory:
-            log.events.append((float(t_b + life), "death", loc))
-    if trajectory:
-        log.events.sort(key=lambda e: e[0])
-        log.final = final
-        return final, log
     return final
 
 
@@ -147,40 +122,6 @@ def survivor_count_event_driven(
     birth_times = rng.uniform(0.0, s, size=n_births)
     lives = rng.exponential(size=n_births)
     return init + int((birth_times + lives >= s).sum())
-
-
-def check_lipschitz(h, base: Configuration, target: TargetIntensity, rng, trials: int = 20) -> None:
-    """Randomized spot check that h moves by at most one when an atom is
-    added; warns on violation (full certification stays with the caller)."""
-    cfg = base.copy()
-    for _ in range(trials):
-        loc = _sample_locations(target, rng, 1)[0]
-        plus = cfg.copy()
-        plus.add(loc)
-        if abs(h(plus) - h(cfg)) > 1.0 + 1e-9:
-            warnings.warn("functional moved by more than the TV cost of one atom")
-            return
-
-
-def estimate_semigroup(
-    omega: Configuration,
-    h,
-    target: TargetIntensity,
-    s: float,
-    reps: int,
-    rng_seed: int,
-    lipschitz_check: bool = True,
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of h at time s from omega."""
-    if lipschitz_check:
-        check_lipschitz(h, omega, target, derive_rng(rng_seed, 999_983))
-    if s == 0:
-        return float(h(omega)), 0.0
-    vals = np.empty(reps)
-    for i in range(reps):
-        rng = derive_rng(rng_seed, i)
-        vals[i] = h(simulate_event_driven(omega, target, s, rng))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(reps))
 
 
 def commutation_check(

@@ -115,27 +115,6 @@ class LevyLaw:
 
 
 @dataclass(frozen=True)
-class WeibullTailLaw:
-    """First-point law of a Poisson process on the half-line with intensity
-    density a*b*u^(b-1): CDF 1 - exp(-a u^b)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("parameters must be positive")
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, 1.0 - np.exp(-self.a * np.clip(x, 0, None) ** self.b), 0.0)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.uniform(size=size)
-        return (-np.log1p(-u) / self.a) ** (1.0 / self.b)
-
-
-@dataclass(frozen=True)
 class StableSeriesLaw:
     """scale * sum of x^(-1/alpha) over a unit-intensity Poisson process on (0, T].
 

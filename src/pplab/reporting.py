@@ -1,7 +1,8 @@
 """Machine-readable result emission: CSV, JSON, and gnuplot-ready data.
 
 Column order is fixed; floats are written with round-trip precision so a
-parse of any emitted file reproduces the values exactly.
+parse of any emitted file reproduces the values exactly (the readers that
+check this live in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def emit(rows, fmt: str, path) -> Path:
                 writer.writerow([_cell(v) for v in _row_values(row)])
     elif fmt == "json":
         payload = [
-            {c: (v if not isinstance(v, float) else v) for c, v in zip(COLUMNS, _row_values(row))}
+            dict(zip(COLUMNS, _row_values(row)))
             for row in rows
         ]
         with open(path, "w") as fh:
@@ -70,30 +71,3 @@ def emit(rows, fmt: str, path) -> Path:
                 fh.write(" ".join(cells) + "\n")
     return path
 
-
-def parse_csv(path) -> list[dict]:
-    """Read an emitted CSV back into typed dictionaries."""
-    out = []
-    with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            out.append(_typed(record))
-    return out
-
-
-def parse_json(path) -> list[dict]:
-    with open(path) as fh:
-        return [_typed(rec) for rec in json.load(fh)]
-
-
-_FLOAT_COLS = ("t", "distance", "stderr", "bound", "rate_pred")
-_INT_COLS = ("d", "seed")
-
-
-def _typed(record: dict) -> dict:
-    out = dict(record)
-    for c in _FLOAT_COLS:
-        v = out.get(c)
-        out[c] = float(v) if v not in ("", None) else None
-    for c in _INT_COLS:
-        out[c] = int(out[c])
-    return out

@@ -20,18 +20,3 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-class SeededRng:
-    """(seed, stream) pair naming one reproducible draw sequence."""
-
-    __slots__ = ("seed", "stream")
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-
-    def generator(self, *sub: int) -> np.random.Generator:
-        return derive_rng(self.seed, self.stream, *sub)
-
-    def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed}, stream={self.stream})"

@@ -251,16 +251,13 @@ def mecke_check(
     for i in range(reps):
         rng = derive_rng(rng_seed, i)
         if mode == "poisson":
-            mu = sample_poisson(domain, t, rng)
+            pts = domain.sample(rng, rng.poisson(t * domain.mass))
             # fresh sample of the same law for the right side
             ambient = domain.sample(rng, rng.poisson(t * domain.mass))
         else:
-            mu = sample_binomial(domain, n, rng)
+            pts = domain.sample(rng, n)
             # the right side sees an (n - k)-point sample plus the added atoms
             ambient = domain.sample(rng, n - k) if n >= k else domain.sample(rng, 0)
-        pts = mu.as_array()
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
         lhs_vals[i] = g.config_sum(pts)
 
         y = domain.sample(rng, k)

@@ -61,6 +61,11 @@ class ScenarioConfig:
             if float(t) not in grid:
                 raise ValueError(f"reps_by_t key {t!r} is not in t_grid")
             self._check_reps(int(reps))
+        if self.scenario == "distance-power" and "threshold_t" in self.params:
+            # an unmatched threshold_t would leave the threshold unchecked
+            threshold_t = float(self.params["threshold_t"])
+            if not any(abs(t - threshold_t) < 1e-9 for t in grid):
+                raise ValueError(f"threshold_t {threshold_t!r} is not in t_grid")
 
     def _check_reps(self, reps: int) -> None:
         if reps < 2:
@@ -456,8 +461,7 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
         )
         rows.append(_row(cfg, t, "distance-power-sum", "kolmogorov", dk, se, None,
                          "constant not explicit; rate reported", rate))
-    at_threshold = [r.distance for r in rows if abs(r.t - threshold_t) < 1e-9]
-    threshold_ok = not at_threshold or at_threshold[0] < threshold
+    threshold_ok = next(r.distance for r in rows if abs(r.t - threshold_t) < 1e-9) < threshold
     decreasing = len(rows) < 2 or rows[0].distance > rows[-1].distance
     passed = threshold_ok and decreasing
     return RunResult(

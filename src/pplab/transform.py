@@ -1,19 +1,20 @@
-"""Induced point processes from k-tuples, U-statistics, and rescalings.
+"""Induced point processes from k-tuples and the pair statistics of the
+U-statistic scenarios.
 
 The measure-level ``induce`` enumerates unordered subsets of distinct
 points and is exact (integer multiplicities).  The ``pair_*`` helpers are
 vectorized fast paths for the two-point kernels used by the experiment
 scenarios.  Each has one production path: the cutoff kernels share a
 kd-tree pair query sorted into row-major order, and the no-cutoff kernels
-use ``pdist``.  Tests cross-check them against the enumeration path and,
-bit for bit, against a dense upper-triangle reference kept in the tests.
+use ``pdist``.  Tests cross-check them against the enumeration oracles
+(pair kernels, U-statistic counts and sums) and, bit for bit, against a
+dense upper-triangle reference, all kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import fsum
 
 import numpy as np
 
@@ -55,38 +56,6 @@ def identity_kernel(target_space: str = "") -> SymmetricKernel:
     return SymmetricKernel(k=1, fn=lambda pts: pts[0], target_space=target_space)
 
 
-def distance_kernel(cutoff: float | None = None) -> SymmetricKernel:
-    """Pair kernel mapping (x, y) to |x - y|; domain is the cutoff ball if given."""
-    dom = None
-    if cutoff is not None:
-        dom = lambda pts: np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1])) <= cutoff
-    return SymmetricKernel(
-        k=2,
-        fn=lambda pts: float(np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1]))),
-        dom=dom,
-        target_space="R",
-    )
-
-
-def midpoint_kernel(cutoff: float) -> SymmetricKernel:
-    return SymmetricKernel(
-        k=2,
-        fn=lambda pts: (np.asarray(pts[0]) + np.asarray(pts[1])) / 2.0,
-        dom=lambda pts: np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1])) <= cutoff,
-        target_space="midpoints",
-    )
-
-
-def distance_power_kernel(tau: float) -> SymmetricKernel:
-    """Pair kernel (x, y) -> |x - y|^(-tau); ties at distance zero are excluded."""
-    return SymmetricKernel(
-        k=2,
-        fn=lambda pts: float(np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1])) ** (-tau)),
-        dom=lambda pts: np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1])) > 0,
-        target_space="R",
-    )
-
-
 def induce(config: Configuration, kernel: SymmetricKernel) -> Configuration:
     """Point process of kernel values over unordered k-subsets of distinct points.
 
@@ -103,86 +72,6 @@ def induce(config: Configuration, kernel: SymmetricKernel) -> Configuration:
         if not kernel.in_domain(tup):
             continue
         out.add(kernel.fn(tup))
-    return out
-
-
-def u_statistic_count(config: Configuration, kernel: SymmetricKernel, target_set=None) -> int:
-    """Number of admissible k-subsets whose kernel value falls in the target set.
-
-    ``target_set`` is None (whole space), an (lo, hi) interval for real
-    values, or a predicate on values.
-    """
-    induced = induce(config, kernel)
-    if target_set is None:
-        return induced.total()
-    if callable(target_set):
-        return induced.count_in(target_set)
-    lo, hi = target_set
-    return induced.count_interval(lo, hi)
-
-
-def u_statistic_sum(config: Configuration, kernel: SymmetricKernel) -> float:
-    """Sum of a real-valued symmetric kernel over unordered distinct k-subsets."""
-    pts = config.points()
-    if len(pts) < kernel.k:
-        return 0.0
-    vals = []
-    for idx in combinations(range(len(pts)), kernel.k):
-        tup = [pts[i] for i in idx]
-        if kernel.in_domain(tup):
-            vals.append(float(kernel.fn(tup)))
-    return fsum(vals)
-
-
-def edge_midpoint_process(config: Configuration, cutoff: float) -> Configuration:
-    """Midpoints of all unordered point pairs at distance at most the cutoff."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return induce(config, midpoint_kernel(cutoff))
-
-
-@dataclass(frozen=True)
-class RescaleLaw:
-    """Dilation y -> t^gamma * y of a Euclidean target space."""
-
-    gamma: float
-    t: float
-
-    @property
-    def factor(self) -> float:
-        return self.t**self.gamma
-
-
-def rescale(config: Configuration, law: RescaleLaw) -> Configuration:
-    """Dilate every atom location by t^gamma, keeping multiplicities."""
-    out = Configuration(space=config.space)
-    c = law.factor
-    for loc, mult in config.atoms.items():
-        if isinstance(loc, tuple):
-            out.add(tuple(c * v for v in loc), mult)
-        elif isinstance(loc, float):
-            out.add(c * loc, mult)
-        else:
-            raise TypeError("rescale needs real or vector atom locations")
-    return out
-
-
-def signed_power_transform(
-    config: Configuration, alpha: float, gamma: float, t: float
-) -> Configuration:
-    """Map each real atom h != 0 to sign(h) * t^gamma * |h|^(-alpha).
-
-    Atoms exactly at zero are dropped.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("need 0 < alpha < 1")
-    out = Configuration(space=config.space)
-    c = t**gamma
-    for loc, mult in config.atoms.items():
-        h = float(loc)
-        if h == 0.0:
-            continue
-        out.add(float(np.sign(h)) * c * abs(h) ** (-alpha), mult)
     return out
 
 

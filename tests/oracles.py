@@ -1,0 +1,196 @@
+"""Reference implementations the tests check the production kernels against.
+
+None of these is on a scenario path: each is the slow, direct form of
+something pplab computes another way (enumerated U-statistics for the pair
+kernels, a Monte Carlo for the quadrature moments, a least-squares solver
+for the closed-form line-pair distances, readers for the emitted files).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from dataclasses import dataclass
+from itertools import combinations
+from math import fsum, sqrt
+
+import numpy as np
+
+from pplab.bounds import MomentPair
+from pplab.configuration import Configuration
+from pplab.rng import derive_rng
+from pplab.transform import SymmetricKernel, induce, pair_count_within
+
+ORTHONORMAL_TOL = 1e-12
+GENERAL_POSITION_TOL = 1e-10
+
+
+def _dist(pts) -> float:
+    return np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1]))
+
+
+def distance_kernel(cutoff: float | None = None) -> SymmetricKernel:
+    """Pair kernel mapping (x, y) to |x - y|; domain is the cutoff ball if given."""
+    dom = None if cutoff is None else (lambda pts: _dist(pts) <= cutoff)
+    return SymmetricKernel(k=2, fn=lambda pts: float(_dist(pts)), dom=dom, target_space="R")
+
+
+def midpoint_kernel(cutoff: float) -> SymmetricKernel:
+    return SymmetricKernel(
+        k=2,
+        fn=lambda pts: (np.asarray(pts[0]) + np.asarray(pts[1])) / 2.0,
+        dom=lambda pts: _dist(pts) <= cutoff,
+        target_space="midpoints",
+    )
+
+
+def distance_power_kernel(tau: float) -> SymmetricKernel:
+    """Pair kernel (x, y) -> |x - y|^(-tau); ties at distance zero are excluded."""
+    return SymmetricKernel(
+        k=2,
+        fn=lambda pts: float(_dist(pts) ** (-tau)),
+        dom=lambda pts: _dist(pts) > 0,
+        target_space="R",
+    )
+
+
+def u_statistic_count(config: Configuration, kernel: SymmetricKernel, target_set=None) -> int:
+    """Number of admissible k-subsets whose kernel value falls in the target set.
+
+    ``target_set`` is None (whole space) or an (lo, hi) interval for real
+    values.
+    """
+    induced = induce(config, kernel)
+    if target_set is None:
+        return induced.total()
+    lo, hi = target_set
+    return induced.count_interval(lo, hi)
+
+
+def u_statistic_sum(config: Configuration, kernel: SymmetricKernel) -> float:
+    """Sum of a real-valued symmetric kernel over unordered distinct k-subsets."""
+    pts = config.points()
+    vals = []
+    for idx in combinations(range(len(pts)), kernel.k):
+        tup = [pts[i] for i in idx]
+        if kernel.in_domain(tup):
+            vals.append(float(kernel.fn(tup)))
+    return fsum(vals)
+
+
+def edge_midpoint_process(config: Configuration, cutoff: float) -> Configuration:
+    """Midpoints of all unordered point pairs at distance at most the cutoff."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return induce(config, midpoint_kernel(cutoff))
+
+
+def gilbert_moments_mc(
+    d: int,
+    t: float,
+    cutoff: float,
+    reps: int,
+    rng_seed: int,
+    mode: str = "poisson",
+    n: int | None = None,
+) -> MomentPair:
+    """Monte Carlo moments of the edge count on the unit cube, the oracle of
+    ``bounds.gilbert_moments``."""
+    counts = np.empty(reps)
+    for i in range(reps):
+        rng = derive_rng(rng_seed, i)
+        npts = rng.poisson(t) if mode == "poisson" else n
+        pts = rng.uniform(size=(npts, d))
+        counts[i] = pair_count_within(pts, cutoff)
+    mean = float(counts.mean())
+    second = float((counts**2).mean())
+    return MomentPair(
+        mean=mean,
+        second_moment=second,
+        method="monte-carlo",
+        mean_se=float(counts.std(ddof=1) / sqrt(reps)),
+        second_se=float((counts**2).std(ddof=1) / sqrt(reps)),
+    )
+
+
+@dataclass(frozen=True)
+class AffineFlat:
+    """m-dimensional affine subspace of R^d: base point plus orthonormal directions."""
+
+    base: np.ndarray
+    directions: np.ndarray  # (m, d), orthonormal rows
+
+    def __post_init__(self):
+        base = np.asarray(self.base, dtype=float)
+        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "directions", dirs)
+        m, d = dirs.shape
+        if base.shape != (d,):
+            raise ValueError("base point dimension must match direction dimension")
+        if not (1 <= m <= d - 1):
+            raise ValueError("need 1 <= m <= d-1 directions")
+        gram = dirs @ dirs.T
+        if np.max(np.abs(gram - np.eye(m))) > ORTHONORMAL_TOL:
+            raise ValueError("directions must be orthonormal")
+
+    @property
+    def m(self) -> int:
+        return self.directions.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
+
+
+def flat_distance_midpoint(e: AffineFlat, f: AffineFlat) -> tuple[float, np.ndarray]:
+    """Distance between two flats in general position and the midpoint of the
+    realizing segment.
+
+    Solves the least-squares problem min |(a + A u) - (b + B v)| over the
+    coefficient vectors.  Raises if the direction spans are degenerate
+    (parallel or partially parallel flats) or if the flats intersect.
+    """
+    if e.dim != f.dim:
+        raise ValueError("flats live in different ambient dimensions")
+    if e.m != f.m:
+        raise ValueError("flats have different dimensions")
+    a, b = e.base, f.base
+    g = np.hstack([e.directions.T, -f.directions.T])  # d x 2m
+    sv = np.linalg.svd(g, compute_uv=False)
+    scale = max(1.0, float(np.linalg.norm(a - b)))
+    if sv[-1] < GENERAL_POSITION_TOL:
+        raise ValueError("flats are parallel or partially parallel (degenerate position)")
+    w, *_ = np.linalg.lstsq(g, b - a, rcond=None)
+    m = e.m
+    p_e = a + e.directions.T @ w[:m]
+    p_f = b + f.directions.T @ w[m:]
+    dist = float(np.linalg.norm(p_e - p_f))
+    if dist < GENERAL_POSITION_TOL * scale:
+        raise ValueError("flats intersect (degenerate position)")
+    return dist, (p_e + p_f) / 2.0
+
+
+_FLOAT_COLS = ("t", "distance", "stderr", "bound", "rate_pred")
+_INT_COLS = ("d", "seed")
+
+
+def _typed(record: dict) -> dict:
+    out = dict(record)
+    for c in _FLOAT_COLS:
+        v = out.get(c)
+        out[c] = float(v) if v not in ("", None) else None
+    for c in _INT_COLS:
+        out[c] = int(out[c])
+    return out
+
+
+def parse_csv(path) -> list[dict]:
+    """Read an emitted CSV back into typed dictionaries."""
+    with open(path, newline="") as fh:
+        return [_typed(record) for record in csv.DictReader(fh)]
+
+
+def parse_json(path) -> list[dict]:
+    with open(path) as fh:
+        return [_typed(rec) for rec in json.load(fh)]

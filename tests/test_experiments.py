@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import parse_csv, parse_json
 from pplab import metrics, reporting, scenarios
 from pplab.scenarios import ResultRow, ScenarioConfig
 
@@ -61,6 +62,17 @@ def _tiny_rows():
             seed=7,
         ),
     ]
+
+
+def test_distance_power_threshold_t_must_be_on_grid():
+    # an off-grid threshold_t used to leave the threshold unchecked: this
+    # config ran and passed with an unreachable dk_threshold
+    params = {"tau": 4.0, "dk_threshold": 1e-9, "threshold_t": 75.0}
+    cfg = ScenarioConfig(scenario="distance-power", t_grid=(50.0, 100.0), params=params)
+    with pytest.raises(ValueError, match="threshold_t 75.0 is not in t_grid"):
+        cfg.validate()
+    ScenarioConfig(scenario="distance-power", t_grid=(50.0, 100.0),
+                   params={**params, "threshold_t": 100.0}).validate()
 
 
 def test_config_validation():
@@ -150,9 +162,9 @@ def test_emit_rejects_empty_and_unknown(tmp_path):
 def test_round_trip_csv_json(tmp_path):
     rows = _tiny_rows()
     csv_path = reporting.emit(rows, "csv", tmp_path / "r.csv")
-    parsed = reporting.parse_csv(csv_path)
+    parsed = parse_csv(csv_path)
     json_path = reporting.emit(rows, "json", tmp_path / "r.json")
-    parsed_json = reporting.parse_json(json_path)
+    parsed_json = parse_json(json_path)
     for rec_c, rec_j, row in zip(parsed, parsed_json, rows):
         for col in ("t", "distance", "stderr", "bound", "rate_pred"):
             v = getattr(row, col)
@@ -332,7 +344,7 @@ def test_rate_sanity_slope_to_800():
 
 
 def test_vectorized_line_pair_formulas_match_lstsq():
-    from pplab.geometry import AffineFlat, flat_distance_midpoint
+    from oracles import AffineFlat, flat_distance_midpoint
     from pplab.rng import derive_rng
     from pplab.sampling import sample_poisson_flats
 

@@ -7,7 +7,6 @@ from pplab.glauber import (
     TargetIntensity,
     commutation_check,
     ergodicity_check,
-    estimate_semigroup,
     simulate_event_driven,
     simulate_exact_law,
     survivor_count_event_driven,
@@ -86,18 +85,15 @@ def test_cross_simulator_mean_functionals():
 
 
 def test_semigroup_trivial_cases():
-    h = lambda w: float(w.total())
-    val, se = estimate_semigroup(OMEGA, h, TARGET, 0.0, 100, 8)
-    assert val == 3.0 and se == 0.0
-    mean, se = estimate_semigroup(EMPTY, h, TARGET, 1.0, 20_000, 9)
+    # the count semigroup is the identity at s = 0 and has mean
+    # (1 - e^-s) * mass from the empty start
+    assert simulate_event_driven(OMEGA, TARGET, 0.0, derive_rng(8)).total() == 3
+    reps = 20_000
+    counts = np.array(
+        [simulate_event_driven(EMPTY, TARGET, 1.0, derive_rng(9, i)).total() for i in range(reps)]
+    )
     lam = (1 - np.exp(-1.0)) * TARGET.mass
-    assert abs(mean - lam) < 3 * se
-
-
-def test_semigroup_warns_on_lipschitz_violation():
-    bad = lambda w: 5.0 * w.total()
-    with pytest.warns(UserWarning):
-        estimate_semigroup(OMEGA, bad, TARGET, 0.5, 10, 10)
+    assert abs(counts.mean() - lam) < 3 * counts.std(ddof=1) / np.sqrt(reps)
 
 
 def test_commutation_s0_exact():
@@ -170,13 +166,3 @@ def test_invariance_poisson_start():
         counts[i] = survivor_count_event_driven(n0, TARGET.mass, s, rng)
     assert tv_against_poisson(counts, TARGET.mass) < 0.02
 
-
-def test_trajectory_log_consistency():
-    final, log = simulate_event_driven(OMEGA, TARGET, 1.5, derive_rng(19), trajectory=True)
-    times = [t for t, _, _ in log.events]
-    assert times == sorted(times)
-    assert all(t <= 1.5 for t in times)
-    births = sum(1 for _, kind, _ in log.events if kind == "birth")
-    deaths = sum(1 for _, kind, _ in log.events if kind == "death")
-    assert log.initial.total() + births - deaths == final.total()
-    assert log.final == final

@@ -12,7 +12,6 @@ from pplab.laws import (
     LevyLaw,
     PoissonLaw,
     StableSeriesLaw,
-    WeibullTailLaw,
     sample_law,
 )
 from pplab.metrics import (
@@ -389,13 +388,6 @@ def test_levy_cdf_matches_density_derivative():
     h = 1e-6
     num = (law.cdf(xs + h) - law.cdf(xs - h)) / (2 * h)
     assert np.max(np.abs(num - law.pdf(xs)) / law.pdf(xs)) < 1e-6
-
-
-def test_weibull_tail_sampling():
-    law = WeibullTailLaw(a=2.0, b=1.5)
-    xs = law.sample(derive_rng(64), size=100_000)
-    # CDF at the empirical median should be about one half
-    assert law.cdf(np.median(xs)) == pytest.approx(0.5, abs=0.01)
 
 
 def test_stable_series_truncation_windows():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import AffineFlat
 from pplab.configuration import Configuration
-from pplab.geometry import AffineFlat, Domain, haar_frame, orthocomplement_basis
+from pplab.geometry import Domain, haar_frame, orthocomplement_basis
 from pplab.metrics import tv_against_poisson
 from pplab.rng import derive_rng
 from pplab.sampling import (
@@ -60,7 +61,7 @@ def test_disjoint_half_cube_counts_uncorrelated():
     left = np.empty(reps)
     right = np.empty(reps)
     for i in range(reps):
-        pts = sample_poisson(dom, 20.0, derive_rng(6, i)).as_array()
+        pts = np.asarray(sample_poisson(dom, 20.0, derive_rng(6, i)).points())
         if len(pts) == 0:
             left[i] = right[i] = 0
             continue
@@ -185,23 +186,17 @@ def test_configuration_merges_identical_atoms():
 
 
 def test_seeded_rng_streams():
-    from pplab.rng import SeededRng
-
-    a = SeededRng(99, 3).generator()
-    b = SeededRng(99, 3).generator()
+    a = derive_rng(99, 3)
+    b = derive_rng(99, 3)
     assert a.uniform(size=5).tolist() == b.uniform(size=5).tolist()
-    c = SeededRng(99, 4).generator()
+    c = derive_rng(99, 4)
     assert a.uniform(size=5).tolist() != c.uniform(size=5).tolist()
     with pytest.raises(ValueError):
-        SeededRng(-1).generator()
+        derive_rng(-1)
 
 
 def test_configuration_rejects_bad_multiplicity():
     cfg = Configuration()
     with pytest.raises(ValueError):
         cfg.add(0.0, mult=0)
-    cfg.add(0.0, 2)
-    with pytest.raises(KeyError):
-        cfg.remove(0.0, 3)
-    cfg.remove(0.0, 2)
     assert cfg.total() == 0

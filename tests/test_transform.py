@@ -6,27 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pplab.configuration import Configuration
-from pplab.rng import derive_rng
-from pplab.transform import (
-    RescaleLaw,
-    SymmetricKernel,
-    _pair_distances_within,
+from oracles import (
     distance_kernel,
     distance_power_kernel,
     edge_midpoint_process,
+    midpoint_kernel,
+    u_statistic_count,
+    u_statistic_sum,
+)
+from pplab.configuration import Configuration
+from pplab.rng import derive_rng
+from pplab.transform import (
+    SymmetricKernel,
+    _pair_distances_within,
     identity_kernel,
     induce,
     max_pair_distance,
-    midpoint_kernel,
     pair_count_within,
     pair_midpoints,
     pair_sum_inverse_power,
     pair_sum_power,
-    rescale,
-    signed_power_transform,
-    u_statistic_count,
-    u_statistic_sum,
 )
 
 
@@ -49,7 +48,7 @@ def test_induce_collinear_distances():
 def test_induce_mass_equals_ordered_loop():
     rng = derive_rng(2)
     cfg = _random_config(rng, 10)
-    pts = cfg.as_array()
+    pts = np.asarray(cfg.points())
     out = induce(cfg, distance_kernel(cutoff=0.4))
     ordered = 0
     for i in range(10):
@@ -90,7 +89,7 @@ def test_u_statistic_count_examples():
     kern = distance_kernel(cutoff=0.3)
     assert u_statistic_count(cfg, kern) == induce(cfg, kern).total()
     assert u_statistic_count(Configuration(space="test"), kern) == 0
-    pts = cfg.as_array()
+    pts = np.asarray(cfg.points())
     brute = sum(
         1
         for i, j in combinations(range(12), 2)
@@ -112,7 +111,7 @@ def test_u_statistic_sum_examples():
     cfg = _random_config(rng, 9)
     ones = SymmetricKernel(k=2, fn=lambda pts: 1.0)
     assert u_statistic_sum(cfg, ones) == comb(9, 2)
-    pts = cfg.as_array()
+    pts = np.asarray(cfg.points())
     val = u_statistic_sum(cfg, distance_power_kernel(1.5))
     brute = sum(
         np.linalg.norm(pts[i] - pts[j]) ** -1.5 for i, j in combinations(range(9), 2)
@@ -136,37 +135,6 @@ def test_midpoint_count_matches_pair_oracle():
         1 for i, j in combinations(range(25), 2) if np.linalg.norm(pts[i] - pts[j]) <= 0.3
     )
     assert out.total() == brute
-
-
-def test_rescale():
-    cfg = Configuration({2.0: 1}, space="R")
-    assert rescale(cfg, RescaleLaw(gamma=1.0, t=3.0)).atoms == {6.0: 1}
-    assert rescale(cfg, RescaleLaw(gamma=0.0, t=3.0)) == cfg
-    vec = Configuration({(1.0, 2.0): 3}, space="R2")
-    out = rescale(vec, RescaleLaw(gamma=2.0, t=2.0))
-    assert out.atoms == {(4.0, 8.0): 3}
-    assert out.total() == vec.total()
-
-
-def test_signed_power_transform():
-    cfg = Configuration({1.0: 1, -4.0: 2, 0.0: 5}, space="R")
-    out = signed_power_transform(cfg, alpha=0.5, gamma=0.0, t=7.0)
-    assert out.atoms == {1.0: 1, -0.5: 2}  # zero atoms dropped
-    with pytest.raises(ValueError):
-        signed_power_transform(cfg, alpha=1.5, gamma=0.0, t=1.0)
-
-
-def test_signed_power_matches_direct_formula():
-    rng = derive_rng(8)
-    pts = rng.uniform(size=(6, 2))
-    cfg = Configuration.from_array(pts, space="t")
-    induced = induce(cfg, distance_power_kernel(2.0))
-    out = signed_power_transform(induced, alpha=0.5, gamma=2.0, t=3.0)
-    expected = sorted(
-        3.0**2 * (np.linalg.norm(pts[i] - pts[j]) ** -2.0) ** -0.5
-        for i, j in combinations(range(6), 2)
-    )
-    assert sorted(out.atoms) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
