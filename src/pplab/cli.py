@@ -13,6 +13,14 @@ import sys
 from . import reporting, scenarios
 
 
+# the scenario configs behind `pplab verify --suite mecke|glauber`
+VERIFY_CONFIGS = {
+    "mecke": {"scenario": "mecke-verify", "d": 2, "t_grid": [50.0], "reps": 10_000,
+              "params": {"n": 50}},
+    "glauber": {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "reps": 100_000},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -76,24 +84,10 @@ def _cmd_verify(args) -> int:
             report = run_ot_verification(seed=args.seed, instances=instances)
             print(report["text"])
             return 0 if report["passed"] else 2
-        if args.suite == "mecke":
-            cfg = scenarios.ScenarioConfig(
-                scenario="mecke-verify",
-                d=2,
-                t_grid=(50.0,),
-                reps=10_000 if args.reps is None else args.reps,
-                seed=args.seed,
-                params={"n": 50},
-            )
-        else:
-            cfg = scenarios.ScenarioConfig(
-                scenario="glauber-verify",
-                d=1,
-                t_grid=(1.0,),
-                reps=100_000 if args.reps is None else args.reps,
-                seed=args.seed,
-            )
-        result = scenarios.run(cfg)
+        data = {**VERIFY_CONFIGS[args.suite], "seed": args.seed}
+        if args.reps is not None:
+            data["reps"] = args.reps
+        result = scenarios.run(scenarios.ScenarioConfig.from_dict(data))
     except ValueError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

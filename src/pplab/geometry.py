@@ -30,8 +30,8 @@ class Domain:
     kind:
         "cube"   -- axis cube [0, side]^dim with Lebesgue reference measure
         "ball"   -- centered ball of given radius, Lebesgue reference measure
-        "sphere" -- unit sphere S^(dim-1) in R^dim, NORMALIZED surface
-                    measure (total mass 1)
+        "sphere" -- centered sphere of given radius in R^dim (radius times
+                    S^(dim-1)), NORMALIZED surface measure (total mass 1)
     """
 
     kind: str
@@ -64,7 +64,7 @@ class Domain:
             return f"cube({self.dim},{self.side})"
         if self.kind == "ball":
             return f"ball({self.dim},{self.radius})"
-        return f"sphere({self.dim})"
+        return f"sphere({self.dim},{self.radius})"
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws from the normalized reference measure, shape (n, dim)."""

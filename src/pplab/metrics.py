@@ -1,6 +1,12 @@
 """Probability distances, configuration transport cost, and exact discrete
 optimal transport.
 
+The 1-D distances take the arrays a scenario already holds: real samples
+for `kolmogorov`, integer samples for `tv_integer` and `tv_against_poisson`,
+two real samples and a cell count for `tv_discretized`, and for
+`wasserstein1` a pmf and a target CDF on the integer grid 0..K, so the
+estimate and each bootstrap resample go through the same function.
+
 `ot_exact` is the certified general solver: a HiGHS transportation LP that
 returns dual potentials certifying optimality. Acceptance criterion A1 and
 `pplab verify --suite ot` require its exact agreement with brute-force
@@ -24,84 +30,20 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .configuration import Configuration
 
-PMF_NORMALIZATION_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 DUALITY_TOL = 1e-8
 
 
-class EmpiricalDistribution:
-    """Either a sorted sample of reals or an integer pmf."""
-
-    def __init__(self, samples=None, pmf=None, offset: int = 0):
-        if (samples is None) == (pmf is None):
-            raise ValueError("provide exactly one of samples or pmf")
-        if samples is not None:
-            arr = np.sort(np.asarray(samples, dtype=float))
-            if arr.size == 0:
-                raise ValueError("empty sample")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("samples must be finite")
-            self.samples = arr
-            self.pmf = None
-            self.offset = 0
-        else:
-            p = np.asarray(pmf, dtype=float)
-            if np.any(p < 0):
-                raise ValueError("pmf entries must be nonnegative")
-            if abs(p.sum() - 1.0) > PMF_NORMALIZATION_TOL:
-                raise ValueError("pmf must sum to one")
-            self.samples = None
-            self.pmf = p
-            self.offset = int(offset)
-
-    @classmethod
-    def from_samples(cls, xs) -> "EmpiricalDistribution":
-        return cls(samples=xs)
-
-    @classmethod
-    def from_counts(cls, counts) -> "EmpiricalDistribution":
-        """Integer pmf from raw integer observations."""
-        counts = np.asarray(counts, dtype=int)
-        lo = int(counts.min())
-        vals = np.bincount(counts - lo).astype(float)
-        return cls(pmf=vals / vals.sum(), offset=lo)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.pmf is not None
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.samples is not None:
-            return np.searchsorted(self.samples, x, side="right") / self.samples.size
-        ks = np.floor(x).astype(int) - self.offset
-        cum = np.concatenate([[0.0], np.cumsum(self.pmf)])
-        return cum[np.clip(ks + 1, 0, len(self.pmf))]
-
-    def cdf_left(self, x) -> np.ndarray:
-        """Left-continuous version of the CDF (the value just below x)."""
-        x = np.asarray(x, dtype=float)
-        if self.samples is not None:
-            return np.searchsorted(self.samples, x, side="left") / self.samples.size
-        ks = np.ceil(x).astype(int) - 1 - self.offset
-        cum = np.concatenate([[0.0], np.cumsum(self.pmf)])
-        return cum[np.clip(ks + 1, 0, len(self.pmf))]
-
-
-def kolmogorov(emp: EmpiricalDistribution, law) -> float:
-    """Sup-norm distance between the empirical CDF and the law's CDF,
-    evaluated on both sides of every jump."""
+def kolmogorov(samples, law) -> float:
+    """Sup-norm distance between the empirical CDF of real samples and the
+    law's CDF, evaluated on both sides of every jump."""
     if not hasattr(law, "cdf"):
         raise TypeError("law must expose a CDF")
-    if emp.is_integer:
-        ks = np.arange(emp.offset, emp.offset + len(emp.pmf))
-        emp_cdf = np.cumsum(emp.pmf)
-        law_cdf = np.asarray(law.cdf(ks), dtype=float)
-        d = float(np.max(np.abs(emp_cdf - law_cdf)))
-        # below the support the empirical CDF is zero
-        lo = float(np.max(np.atleast_1d(law.cdf(emp.offset - 1)))) if emp.offset > 0 else 0.0
-        return max(d, lo)
-    xs = emp.samples
+    xs = np.sort(np.asarray(samples, dtype=float))
+    if xs.size == 0:
+        raise ValueError("empty sample")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     n = xs.size
     f_right = np.asarray(law.cdf(xs), dtype=float)
     left_fn = getattr(law, "cdf_left", law.cdf)
@@ -109,16 +51,6 @@ def kolmogorov(emp: EmpiricalDistribution, law) -> float:
     upper = np.arange(1, n + 1) / n - f_right
     lower = f_left - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))
-
-
-def _align_pmfs(p: EmpiricalDistribution, q: EmpiricalDistribution):
-    lo = min(p.offset, q.offset)
-    hi = max(p.offset + len(p.pmf), q.offset + len(q.pmf))
-    pa = np.zeros(hi - lo)
-    qa = np.zeros(hi - lo)
-    pa[p.offset - lo : p.offset - lo + len(p.pmf)] = p.pmf
-    qa[q.offset - lo : q.offset - lo + len(q.pmf)] = q.pmf
-    return pa, qa, lo
 
 
 def clamp_tv(value: float) -> float:
@@ -130,12 +62,16 @@ def clamp_tv(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def tv_integer(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
-    """Total variation distance between two integer pmfs, half the l1 gap."""
-    if not (p.is_integer and q.is_integer):
-        raise TypeError("tv_integer needs integer pmfs")
-    pa, qa, _ = _align_pmfs(p, q)
-    return clamp_tv(0.5 * float(np.abs(pa - qa).sum()))
+def tv_integer(counts_a, counts_b) -> float:
+    """Total variation distance between the empirical laws of two integer
+    samples: half the l1 gap of their pmfs over the joint observed range."""
+    a = np.asarray(counts_a, dtype=int)
+    b = np.asarray(counts_b, dtype=int)
+    lo = min(a.min(), b.min())
+    size = max(a.max(), b.max()) - lo + 1
+    pa = np.bincount(a - lo, minlength=size) / a.size
+    pb = np.bincount(b - lo, minlength=size) / b.size
+    return clamp_tv(0.5 * float(np.abs(pa - pb).sum()))
 
 
 def tv_against_poisson(counts: np.ndarray, lam: float) -> float:
@@ -154,50 +90,29 @@ def tv_against_poisson(counts: np.ndarray, lam: float) -> float:
     return clamp_tv(0.5 * (float(np.abs(emp - pois).sum()) + max(tail, 0.0)))
 
 
-def wasserstein1(p, q) -> float:
-    """First Wasserstein distance: integral of |F_p - F_q|.
+def tv_discretized(a: np.ndarray, b: np.ndarray, cells: int) -> float:
+    """TV between the histograms of two nonnegative real samples on ``cells``
+    equal cells spanning [0, max]; it lower-bounds the TV between the laws."""
+    hi = max(float(a.max()), float(b.max()))
+    if hi <= 0:
+        return 0.0
+    edges = np.linspace(0.0, hi * (1 + 1e-12), cells + 1)
+    pa = np.histogram(a, bins=edges)[0] / len(a)
+    pb = np.histogram(b, bins=edges)[0] / len(b)
+    return clamp_tv(0.5 * float(np.abs(pa - pb).sum()))
 
-    Accepts two real-sample empiricals (sorted-merge algorithm) or two
-    integer laws (empirical pmf or an analytic law with pmf), in which
-    case it is the sum over the integer grid of the CDF gaps.
+
+def wasserstein1(pmf, cdf) -> float:
+    """First Wasserstein distance between two laws on the integers 0..K: the
+    l1 gap between the CDF of ``pmf`` and the target ``cdf``, both on that
+    grid.  K must cover the support of ``pmf`` and all but a negligible tail
+    of the target; a second pmf enters as its cumulative sum.
     """
-    p_emp = isinstance(p, EmpiricalDistribution)
-    q_emp = isinstance(q, EmpiricalDistribution)
-    if p_emp and q_emp and not p.is_integer and not q.is_integer:
-        xs = np.concatenate([p.samples, q.samples])
-        xs.sort(kind="mergesort")
-        fp = p.cdf(xs[:-1])
-        fq = q.cdf(xs[:-1])
-        return float(np.sum(np.abs(fp - fq) * np.diff(xs)))
-    return _wasserstein_integer(p, q)
-
-
-def _integer_cdf_grid(obj, ks: np.ndarray) -> np.ndarray:
-    if isinstance(obj, EmpiricalDistribution):
-        return obj.cdf(ks)
-    return np.asarray(obj.cdf(ks), dtype=float)
-
-
-def _integer_support_hi(obj) -> int:
-    if isinstance(obj, EmpiricalDistribution):
-        if not obj.is_integer:
-            raise TypeError(
-                "wasserstein1 needs two real-sample empiricals or two integer laws"
-            )
-        return obj.offset + len(obj.pmf) - 1
-    from scipy import stats
-
-    if hasattr(obj, "lam"):
-        return int(stats.poisson.ppf(1 - 1e-14, obj.lam)) + 2
-    raise TypeError("cannot bound the support of this law")
-
-
-def _wasserstein_integer(p, q) -> float:
-    hi = max(_integer_support_hi(p), _integer_support_hi(q))
-    ks = np.arange(0, hi + 1)
-    fp = _integer_cdf_grid(p, ks)
-    fq = _integer_cdf_grid(q, ks)
-    return float(np.abs(fp - fq).sum())
+    pmf = np.asarray(pmf, dtype=float)
+    cdf = np.asarray(cdf, dtype=float)
+    if pmf.shape != cdf.shape:
+        raise ValueError("pmf and cdf must be given on the same grid 0..K")
+    return float(np.abs(np.cumsum(pmf) - cdf).sum())
 
 
 def _tv_cost_matrix(configs_a, configs_b) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from math import exp, sqrt
 
 import numpy as np
+from scipy.stats import poisson
 
 from . import bounds as bnd
 from . import glauber as glb
@@ -24,17 +25,19 @@ from .geometry import Domain, unit_ball_volume
 from .laws import PoissonLaw
 from .rng import derive_rng
 
-SCENARIO_NAMES = (
-    "gilbert-edges",
-    "gilbert-lengths",
-    "gilbert-midpoints",
-    "distance-power",
-    "flats",
-    "polytope",
-    "glauber-verify",
-    "mecke-verify",
-    "kr-estimate",
-)
+# the params keys each runner reads; any other key is a configuration error
+_PARAMS = {
+    "gilbert-edges": ("lam", "n_boot"),
+    "gilbert-lengths": ("b", "lam", "cells", "tv_threshold", "target_factor", "n_boot"),
+    "gilbert-midpoints": ("a", "n_configs"),
+    "distance-power": ("tau", "dk_threshold", "threshold_t", "n_boot"),
+    "flats": ("m", "a", "ball_radius", "constant_mc_samples"),
+    "polytope": ("a", "gap_threshold", "reps_by_t"),
+    "glauber-verify": ("mass", "s_tv", "s_grid", "commutation_s", "commutation_reps"),
+    "mecke-verify": ("n", "radius"),
+    "kr-estimate": ("mode", "n_configs", "lam"),
+}
+SCENARIO_NAMES = tuple(_PARAMS)
 
 DISTANCE_SCENARIOS = ("gilbert-edges", "gilbert-lengths", "distance-power", "polytope")
 
@@ -51,6 +54,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        unknown = sorted(set(self.params) - set(_PARAMS[self.scenario]))
+        if unknown:
+            raise ValueError(f"unknown params for {self.scenario}: {unknown}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         grid = list(self.t_grid)
@@ -272,35 +278,18 @@ def _count_close_line_pairs(frames, eps, ball_radius) -> int:
 
 
 def _midpoint_config_chunk(args, seed, lo, hi):
-    """Flattened midpoint coordinates per replication, padded row layout.
-
-    A replication with more than ``max_atoms`` midpoints does not fit the
-    row and raises rather than being truncated.
-    """
-    d, t, cutoff, max_atoms = args
-    out = np.full((hi - lo, 1 + max_atoms * d), np.nan)
+    """Object array of the ``(k, d)`` midpoint arrays, one per replication."""
+    d, t, cutoff = args
+    out = np.empty(hi - lo, dtype=object)
     for i in range(lo, hi):
         rng = derive_rng(seed, i)
-        pts = rng.uniform(size=(rng.poisson(t), d))
-        mids = transform.pair_midpoints(pts, cutoff)
-        if len(mids) > max_atoms:
-            raise ValueError(
-                f"configuration {i} has {len(mids)} midpoints, "
-                f"more than the cap of {max_atoms} atoms per configuration"
-            )
-        out[i - lo, 0] = len(mids)
-        out[i - lo, 1 : 1 + mids.size] = mids.ravel()
+        out[i - lo] = transform.pair_midpoints(rng.uniform(size=(rng.poisson(t), d)), cutoff)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Distance estimators with bootstrap uncertainties.
 # ---------------------------------------------------------------------------
-
-
-def _wasserstein_to_poisson(counts: np.ndarray, lam: float) -> float:
-    emp = metrics.EmpiricalDistribution.from_counts(counts.astype(int))
-    return metrics.wasserstein1(emp, PoissonLaw(lam))
 
 
 def _bootstrap_se(values: np.ndarray, statistic, n_boot: int, seed: int) -> float:
@@ -312,35 +301,19 @@ def _bootstrap_se(values: np.ndarray, statistic, n_boot: int, seed: int) -> floa
     return float(stats.std(ddof=1))
 
 
-def _bootstrap_se_poisson_w1(counts: np.ndarray, lam: float, n_boot: int, seed: int) -> float:
-    """Bootstrap spread of the integer Wasserstein distance, resampling the
-    count histogram directly (equivalent to i.i.d. resampling)."""
-    from scipy import stats as sps
-
+def _bootstrap_se_poisson_w1(counts: np.ndarray, cdf: np.ndarray, n_boot: int, seed: int) -> float:
+    """Bootstrap spread of `metrics.wasserstein1` against ``cdf``, resampling
+    the count histogram directly (equivalent to i.i.d. resampling)."""
     rng = derive_rng(seed, 77_003)
     n = len(counts)
-    hist = np.bincount(counts.astype(int))
-    kmax = max(len(hist) - 1, int(sps.poisson.ppf(1 - 1e-14, lam)) + 2)
-    pois_cdf = sps.poisson.cdf(np.arange(kmax + 1), lam)
-    pmf = hist / n
+    hist = np.bincount(counts)
+    p = hist / n
+    pmf = np.zeros(len(cdf))
     out = np.empty(n_boot)
     for b in range(n_boot):
-        resampled = rng.multinomial(n, pmf)
-        emp_cdf = np.cumsum(resampled) / n
-        full = np.ones(kmax + 1)
-        full[: len(emp_cdf)] = emp_cdf
-        out[b] = np.abs(full - pois_cdf).sum()
+        pmf[: len(hist)] = rng.multinomial(n, p) / n
+        out[b] = metrics.wasserstein1(pmf, cdf)
     return float(out.std(ddof=1))
-
-
-def _discretized_tv(a: np.ndarray, b: np.ndarray, cells: int) -> float:
-    hi = max(float(a.max()), float(b.max()))
-    if hi <= 0:
-        return 0.0
-    edges = np.linspace(0.0, hi * (1 + 1e-12), cells + 1)
-    pa = np.histogram(a, bins=edges)[0] / len(a)
-    pb = np.histogram(b, bins=edges)[0] / len(b)
-    return metrics.clamp_tv(0.5 * float(np.abs(pa - pb).sum()))
 
 
 def _fit_loglog_slope(ts, ds):
@@ -366,9 +339,12 @@ def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
     for t in cfg.t_grid:
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
         args = (d, t, transform.pair_count_within, (theta,), 1)
-        counts = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed)
-        dw = _wasserstein_to_poisson(counts, target.lam)
-        se = _bootstrap_se_poisson_w1(counts, target.lam, n_boot, cfg.seed)
+        counts = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed).astype(int)
+        # the grid 0..K covers the sample and all but 1e-14 of the target's mass
+        k = max(int(counts.max()), int(poisson.ppf(1 - 1e-14, target.lam)) + 2)
+        cdf = target.cdf(np.arange(k + 1))
+        dw = metrics.wasserstein1(np.bincount(counts, minlength=k + 1) / counts.size, cdf)
+        se = _bootstrap_se_poisson_w1(counts, cdf, n_boot, cfg.seed)
         moments = bnd.gilbert_moments(d, t, theta, mode="poisson")
         bound = bnd.ustat_poisson_bound(moments, target.lam, k=2, mode="poisson")
         rows.append(_row(cfg, t, "edge-count", "wasserstein", dw, se, bound, "moment-form",
@@ -406,16 +382,16 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
         target = limits.edge_length.sample_many(
             derive_rng(cfg.seed, 555_001, idx), target_factor * cfg.reps
         )
-        tv = _discretized_tv(stat, target, cells)
+        tv = metrics.tv_discretized(stat, target, cells)
         se = _bootstrap_se(
             stat,
-            lambda s: _discretized_tv(s, target, cells),
+            lambda s: metrics.tv_discretized(s, target, cells),
             int(cfg.params.get("n_boot", 100)),
             cfg.seed + idx,
         )
         r = bnd.r_term(d, t, theta).value
         bound = bnd.thm_main_bound(bnd.gilbert_intensity_error(d, t, theta), r, k=2)
-        rows.append(_row(cfg, t, "edge-length-sum", "tv-64cell", tv, se, bound,
+        rows.append(_row(cfg, t, "edge-length-sum", f"tv-{cells}cell", tv, se, bound,
                          "r-form (upper bounds the discretized TV)", -min(2.0 / d, 1.0),
                          passed=tv + 3 * se <= bound))
     dists = [r.distance for r in rows]
@@ -451,11 +427,10 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
         scale = t ** (-2.0 * tau / d)
         args = (d, t, transform.pair_sum_inverse_power, (tau,), scale)
         stat = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed)
-        emp = metrics.EmpiricalDistribution.from_samples(stat)
-        dk = metrics.kolmogorov(emp, levy)
+        dk = metrics.kolmogorov(stat, levy)
         se = _bootstrap_se(
             stat,
-            lambda s: metrics.kolmogorov(metrics.EmpiricalDistribution.from_samples(s), levy),
+            lambda s: metrics.kolmogorov(s, levy),
             int(cfg.params.get("n_boot", 100)),
             cfg.seed,
         )
@@ -478,15 +453,6 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
     )
 
 
-def _configs_from_padded(flat: np.ndarray, d: int, space: str) -> list:
-    configs = []
-    for row in flat:
-        n = int(row[0])
-        pts = row[1 : 1 + n * d].reshape(n, d)
-        configs.append(Configuration.from_array(pts, space=space))
-    return configs
-
-
 def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
     d = cfg.d
     a = float(cfg.params.get("a", 1.0))
@@ -497,10 +463,8 @@ def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
         theta = t ** (-1.0 / d)  # keeps t^2 theta^d growing
         cutoff = min(theta, a * t ** (-2.0 / d))
         space = f"midpoints({d})"
-        flat = _parallel_chunks(
-            _midpoint_config_chunk, (d, t, cutoff, 64), n_configs, cfg.seed
-        )
-        side_a = _configs_from_padded(flat, d, space)
+        mids = _parallel_chunks(_midpoint_config_chunk, (d, t, cutoff), n_configs, cfg.seed)
+        side_a = [Configuration.from_array(m, space=space) for m in mids]
         mass = 0.5 * kd * a**d
         rng_b = derive_rng(cfg.seed, 888_001)
         side_b = [
@@ -602,10 +566,7 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
         ed[i] = glb.simulate_event_driven(omega0, target, s_tv, rng).total()
         rng2 = derive_rng(cfg.seed, 2, i)
         ex[i] = glb.simulate_exact_law(omega0, target, s_tv, rng2).total()
-    tv = metrics.tv_integer(
-        metrics.EmpiricalDistribution.from_counts(ed),
-        metrics.EmpiricalDistribution.from_counts(ex),
-    )
+    tv = metrics.tv_integer(ed, ex)
     rows = [
         _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, 0.0, 0.02, "acceptance threshold",
              passed=tv < 0.02, d=1)

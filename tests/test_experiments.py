@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import parse_csv, parse_json
-from pplab import metrics, reporting, scenarios
+from pplab import cli, metrics, reporting, scenarios
 from pplab.scenarios import ResultRow, ScenarioConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -135,13 +135,39 @@ def test_glauber_small_reps_rows_have_standard_errors():
         scenarios.run(cfg)
 
 
-CONFIGS = sorted((SRC.parent / "configs").glob("*.json"))
+def _committed_configs():
+    """Every config the repository runs: ``configs/*.json``, the benchmark
+    workloads and the ``pplab verify`` scenarios."""
+    for path in sorted((SRC.parent / "configs").glob("*.json")):
+        yield pytest.param(json.loads(path.read_text()), id=path.name)
+    workloads = json.loads((SRC.parent / "perfbench" / "workloads.json").read_text())
+    for name, workload in workloads.items():
+        for i, config in enumerate(workload["configs"]):
+            yield pytest.param(config, id=f"workload-{name}-{i}")
+    for suite, config in cli.VERIFY_CONFIGS.items():
+        yield pytest.param(config, id=f"verify-{suite}")
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_committed_configs_load(path):
-    cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
+@pytest.mark.parametrize("config", _committed_configs())
+def test_committed_configs_load(config):
+    cfg = ScenarioConfig.from_dict(config)
     assert cfg.scenario in scenarios.SCENARIO_NAMES
+
+
+@pytest.mark.parametrize(
+    "scenario, params, unknown",
+    [
+        ("flats", {"m": 1, "constant_mc_sample": 2}, "constant_mc_sample"),
+        ("gilbert-edges", {"lam": 1.0, "reps_by_t": {"50.0": 2000}}, "reps_by_t"),
+        ("kr-estimate", {"n_config": 100}, "n_config"),
+    ],
+    ids=["typo", "polytope-only", "kr-typo"],
+)
+def test_unknown_params_rejected(scenario, params, unknown):
+    # a misspelt or foreign key used to be ignored, so the default ran instead
+    data = {"scenario": scenario, "d": 3, "t_grid": [50.0], "params": params}
+    with pytest.raises(ValueError, match=f"unknown params for {scenario}: \\['{unknown}'\\]"):
+        ScenarioConfig.from_dict(data)
 
 
 def test_emit_csv_single_row(tmp_path):
@@ -220,19 +246,24 @@ def test_threads_rejects_bad_value(monkeypatch, value):
     assert scenarios._threads() == 1
 
 
-def test_midpoint_configs_over_cap_raise():
-    # a cutoff of 1 joins almost every pair of about 50 points: far above 64
-    with pytest.raises(ValueError, match=r"configuration 0 has \d+ midpoints.*cap of 64"):
-        scenarios._midpoint_config_chunk((2, 50.0, 1.0, 64), 3, 0, 5)
+def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
+    # a = 10 puts about 80 midpoints into a configuration at t = 50; each
+    # replication keeps all of its atoms, with no cap
+    mids = scenarios._midpoint_config_chunk((2, 50.0, 50.0 ** -0.5), 3, 0, 100)
+    assert max(len(m) for m in mids) > 64
     cfg = ScenarioConfig(
         scenario="gilbert-midpoints",
         d=2,
         t_grid=(50.0,),
         seed=3,
-        params={"a": 10.0, "n_configs": 20},
+        params={"a": 10.0, "n_configs": 100},
     )
-    with pytest.raises(ValueError, match="cap of 64"):
-        scenarios.run(cfg)
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    rows = scenarios.run(cfg).rows
+    assert [r.distance_name for r in rows] == ["kr-surrogate", "kr-noise-floor"]
+    # the ragged per-replication arrays cross the process pool unchanged
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    assert scenarios.run(cfg).rows == rows
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -292,10 +323,16 @@ def test_discretized_tv_stays_in_unit_interval():
     # sum can land one ulp above it
     rng = np.random.default_rng(0)
     worst = max(
-        scenarios._discretized_tv(rng.uniform(0, 1, 20), rng.uniform(2, 3, 20), 40)
+        metrics.tv_discretized(rng.uniform(0, 1, 20), rng.uniform(2, 3, 20), 40)
         for _ in range(200)
     )
     assert worst <= 1.0
+
+
+def test_gilbert_lengths_row_names_its_cells():
+    cfg = ScenarioConfig(scenario="gilbert-lengths", d=2, t_grid=(50.0,), seed=2,
+                         params={"cells": 8, "n_boot": 10, "target_factor": 2})
+    assert [r.distance_name for r in scenarios.run(cfg).rows] == ["tv-8cell"]
 
 
 def test_scenario_rows_reproducible_fields():

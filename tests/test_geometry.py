@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import AffineFlat, flat_distance_midpoint
+from pplab.configuration import Configuration
 from pplab.geometry import (
     Domain,
     cube_shell_constant,
@@ -226,3 +227,15 @@ def test_domain_samplers_land_inside():
     assert np.linalg.norm(ball, axis=1).max() <= 1.5
     sph = Domain("sphere", 3).sample(rng, 1000)
     assert np.allclose(np.linalg.norm(sph, axis=1), 1.0, atol=1e-12)
+
+
+def test_sphere_space_tag_carries_radius():
+    # configurations on spheres of different radii must not merge
+    unit, wide = Domain("sphere", 3), Domain("sphere", 3, radius=2.0)
+    assert unit.space_tag != wide.space_tag
+    rng = np.random.default_rng(1)
+    a = Configuration.from_array(unit.sample(rng, 3), space=unit.space_tag)
+    b = Configuration.from_array(wide.sample(rng, 3), space=wide.space_tag)
+    with pytest.raises(ValueError, match="different spaces"):
+        a.merge(b)
+    assert np.allclose(np.linalg.norm(wide.sample(rng, 10), axis=1), 2.0)

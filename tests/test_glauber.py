@@ -11,7 +11,7 @@ from pplab.glauber import (
     simulate_exact_law,
     survivor_count_event_driven,
 )
-from pplab.metrics import EmpiricalDistribution, tv_against_poisson, tv_integer
+from pplab.metrics import tv_against_poisson, tv_integer
 from pplab.rng import derive_rng
 
 DOM = Domain("cube", 1)
@@ -55,9 +55,7 @@ def test_two_simulators_same_count_law():
     for i in range(reps):
         ed[i] = simulate_event_driven(OMEGA, TARGET, 1.0, derive_rng(4, i)).total()
         ex[i] = simulate_exact_law(OMEGA, TARGET, 1.0, derive_rng(5, i)).total()
-    tv = tv_integer(
-        EmpiricalDistribution.from_counts(ed), EmpiricalDistribution.from_counts(ex)
-    )
+    tv = tv_integer(ed, ex)
     assert tv < 0.03
 
 

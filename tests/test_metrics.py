@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pplab import metrics
+from pplab import metrics, scenarios
 from pplab.configuration import Configuration
 from pplab.laws import (
     CompoundPoissonLaw,
@@ -15,7 +15,6 @@ from pplab.laws import (
     sample_law,
 )
 from pplab.metrics import (
-    EmpiricalDistribution,
     config_tv_cost,
     empirical_kr,
     kolmogorov,
@@ -32,22 +31,28 @@ from pplab.rng import derive_rng
 
 def test_kolmogorov_single_sample_at_median():
     law = LevyLaw(scale=1.0)
-    emp = EmpiricalDistribution.from_samples([law.median])
-    assert kolmogorov(emp, law) == pytest.approx(0.5, abs=1e-12)
+    assert kolmogorov([law.median], law) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kolmogorov_self_step_law_is_zero():
     xs = np.array([0.1, 0.4, 0.9])
-    emp = EmpiricalDistribution.from_samples(xs)
 
     class StepLaw:
         def cdf(self, x):
-            return emp.cdf(x)
+            return np.searchsorted(xs, x, side="right") / xs.size
 
         def cdf_left(self, x):
-            return emp.cdf_left(x)
+            return np.searchsorted(xs, x, side="left") / xs.size
 
-    assert kolmogorov(emp, StepLaw()) == 0.0
+    assert kolmogorov(xs[::-1], StepLaw()) == 0.0
+
+
+def test_kolmogorov_rejects_empty_or_nonfinite():
+    law = LevyLaw(scale=1.0)
+    with pytest.raises(ValueError, match="empty"):
+        kolmogorov([], law)
+    with pytest.raises(ValueError, match="finite"):
+        kolmogorov([1.0, np.inf], law)
 
 
 def test_kolmogorov_dkw():
@@ -58,7 +63,7 @@ def test_kolmogorov_dkw():
     n = 2000
     for i in range(trials):
         xs = law.sample(derive_rng(50, i), size=n)
-        d = kolmogorov(EmpiricalDistribution.from_samples(xs), law)
+        d = kolmogorov(xs, law)
         if d > 1.36 / np.sqrt(n):
             failures += 1
     # binomial(40, 0.05): seeing more than 7 failures has probability < 1e-3
@@ -68,24 +73,26 @@ def test_kolmogorov_dkw():
 # --- total variation and Wasserstein ----------------------------------------
 
 
+def _pmf(counts, k):
+    """Empirical pmf of nonnegative integer observations on the grid 0..k."""
+    counts = np.asarray(counts)
+    return np.bincount(counts, minlength=k + 1) / counts.size
+
+
 def test_tv_integer_examples():
-    p = EmpiricalDistribution(pmf=[0.5, 0.5])
-    assert tv_integer(p, p) == 0.0
-    d0 = EmpiricalDistribution(pmf=[1.0])
-    d1 = EmpiricalDistribution(pmf=[1.0], offset=1)
-    assert tv_integer(d0, d1) == 1.0
+    assert tv_integer([0, 1], [1, 0]) == 0.0
+    assert tv_integer([0], [1]) == 1.0
+    # the observed range need not start at zero
+    assert tv_integer([-2, 3], [3, 3]) == 0.5
 
 
 def test_tv_integer_poisson_truncation_oracle():
-    from scipy import stats
-
-    ks = np.arange(0, 51)
-    p = stats.poisson.pmf(ks, 1.0)
-    q = stats.poisson.pmf(ks, 1.1)
-    pe = EmpiricalDistribution(pmf=p / p.sum())
-    qe = EmpiricalDistribution(pmf=q / q.sum())
-    brute = 0.5 * np.abs(p / p.sum() - q / q.sum()).sum()
-    assert tv_integer(pe, qe) == pytest.approx(brute, abs=1e-14)
+    rng = derive_rng(53)
+    a = rng.poisson(1.0, size=5000)
+    b = rng.poisson(1.1, size=3000)
+    k = max(a.max(), b.max())
+    brute = 0.5 * np.abs(_pmf(a, k) - _pmf(b, k)).sum()
+    assert tv_integer(a, b) == pytest.approx(brute, abs=1e-14)
 
 
 def test_tv_against_poisson_at_most_one():
@@ -93,47 +100,31 @@ def test_tv_against_poisson_at_most_one():
     assert tv_against_poisson(np.array([40]), 4.492542372881355) <= 1.0
 
 
-def test_wasserstein_identical_and_point_masses():
-    xs = np.array([0.3, 0.8, 1.4])
-    emp = EmpiricalDistribution.from_samples(xs)
-    assert wasserstein1(emp, EmpiricalDistribution.from_samples(xs.copy())) == 0.0
-    a = EmpiricalDistribution.from_samples([0.0])
-    b = EmpiricalDistribution.from_samples([2.5])
-    assert wasserstein1(a, b) == pytest.approx(2.5)
-
-
-def test_wasserstein_assignment_oracle():
-    rng = derive_rng(51)
-    for _ in range(10):
-        a = rng.normal(size=5)
-        b = rng.normal(size=5)
-        val = wasserstein1(
-            EmpiricalDistribution.from_samples(a), EmpiricalDistribution.from_samples(b)
-        )
-        brute = min(
-            np.mean(np.abs(a[list(p)] - b)) for p in permutations(range(5))
-        )
-        assert val == pytest.approx(brute, rel=1e-12)
-
-
 def test_wasserstein_integer_vs_poisson():
     counts = np.array([0, 1, 1, 2, 3, 0, 1, 2, 1, 1])
-    emp = EmpiricalDistribution.from_counts(counts)
     law = PoissonLaw(1.2)
     ks = np.arange(0, 200)
-    brute = np.abs(emp.cdf(ks) - law.cdf(ks)).sum()
-    assert wasserstein1(emp, law) == pytest.approx(brute, abs=1e-10)
+    emp_cdf = np.searchsorted(np.sort(counts), ks, side="right") / counts.size
+    brute = np.abs(emp_cdf - law.cdf(ks)).sum()
+    grid = np.arange(0, 21)  # Poisson(1.2) puts less than 1e-16 above 20
+    assert wasserstein1(_pmf(counts, 20), law.cdf(grid)) == pytest.approx(brute, abs=1e-10)
+
+
+def test_wasserstein_rejects_mismatched_grids():
+    with pytest.raises(ValueError, match="same grid"):
+        wasserstein1(np.array([0.5, 0.5]), np.array([0.5, 1.0, 1.0]))
 
 
 def test_distance_ordering_on_integer_laws():
     # Kolmogorov <= TV <= Wasserstein, all computed on the same pair
     rng = derive_rng(52)
-    a = EmpiricalDistribution.from_counts(rng.poisson(2.0, size=400))
-    b = EmpiricalDistribution.from_counts(rng.poisson(2.6, size=400))
-    ks = np.arange(0, 60)
-    dk = float(np.abs(a.cdf(ks) - b.cdf(ks)).max())
+    a = rng.poisson(2.0, size=400)
+    b = rng.poisson(2.6, size=400)
+    k = 60
+    pa, pb = _pmf(a, k), _pmf(b, k)
+    dk = float(np.abs(np.cumsum(pa) - np.cumsum(pb)).max())
     dtv = tv_integer(a, b)
-    dw = wasserstein1(a, b)
+    dw = wasserstein1(pa, np.cumsum(pb))
     assert dk <= dtv + 1e-12
     assert dtv <= dw + 1e-12
 
@@ -142,12 +133,49 @@ def test_distance_ordering_on_integer_laws():
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=60), st.lists(st.integers(0, 8), min_size=1, max_size=60))
 @example(us=[0, 0, 0, 0, 1, 1, 2, 4, 5, 5], vs=[3])  # half-l1 sum rounds to 1 + 2**-52
 def test_metric_axioms_integer(us, vs):
-    p = EmpiricalDistribution.from_counts(np.array(us))
-    q = EmpiricalDistribution.from_counts(np.array(vs))
+    p, q = np.array(us), np.array(vs)
     assert tv_integer(p, q) == tv_integer(q, p)
     assert tv_integer(p, p) == 0.0
     assert 0.0 <= tv_integer(p, q) <= 1.0
-    assert wasserstein1(p, q) == pytest.approx(wasserstein1(q, p), abs=1e-12)
+    pp, pq = _pmf(p, 8), _pmf(q, 8)
+    assert wasserstein1(pp, np.cumsum(pq)) == pytest.approx(wasserstein1(pq, np.cumsum(pp)), abs=1e-12)
+
+
+# --- negative controls: each distance detects the discrepancy it measures ----
+# The wrong-law distance must clear the same-law distance at the same sample
+# size (the estimator's upward bias) by well over 3 bootstrap sigma.
+
+
+def test_wasserstein_detects_shifted_poisson():
+    # Poisson(1.2 lam) counts against Poisson(lam), with the gilbert-edges
+    # bootstrap: W1 is 0.2 lam = 1 for stochastically ordered laws
+    lam = 5.0
+    k = 40
+    cdf = PoissonLaw(lam).cdf(np.arange(k + 1))
+    wrong = derive_rng(54).poisson(1.2 * lam, size=2000)
+    same = derive_rng(55).poisson(lam, size=2000)
+    dw = wasserstein1(_pmf(wrong, k), cdf)
+    se = scenarios._bootstrap_se_poisson_w1(wrong, cdf, 200, 54)
+    assert dw - wasserstein1(_pmf(same, k), cdf) > 10 * se
+
+
+def test_kolmogorov_detects_wrong_levy_scale():
+    law = LevyLaw(scale=1.0)
+    wrong = LevyLaw(scale=2.0).sample(derive_rng(56), size=2000)
+    same = law.sample(derive_rng(58), size=2000)
+    dk = kolmogorov(wrong, law)
+    se = scenarios._bootstrap_se(wrong, lambda s: kolmogorov(s, law), 100, 56)
+    assert dk - kolmogorov(same, law) > 10 * se
+
+
+def test_tv_integer_detects_poisson_mean_shift():
+    rng = derive_rng(57)
+    a = rng.poisson(5.0, size=4000)
+    wrong = rng.poisson(6.0, size=4000)
+    same = rng.poisson(5.0, size=4000)
+    dtv = tv_integer(a, wrong)
+    se = scenarios._bootstrap_se(a, lambda s: tv_integer(s, wrong), 100, 57)
+    assert dtv - tv_integer(a, same) > 10 * se
 
 
 # --- configuration TV cost ---------------------------------------------------
@@ -348,10 +376,7 @@ def test_empirical_kr_dominates_tv_lower_bound():
     kr = empirical_kr(a, b)
     counts_a = np.array([c.total() for c in a])
     counts_b = np.array([c.total() for c in b])
-    tv = tv_integer(
-        EmpiricalDistribution.from_counts(counts_a),
-        EmpiricalDistribution.from_counts(counts_b),
-    )
+    tv = tv_integer(counts_a, counts_b)
     assert kr.estimate >= tv - 3 * kr.noise_floor_std
 
 
