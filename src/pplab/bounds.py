@@ -1,15 +1,16 @@
 """Numeric evaluation of the explicit approximation bounds and constants.
 
-The pair-kernel integrals over the unit cube reduce, for d <= 2, to
-closed-form ball/box intersection volumes integrated by adaptive
-quadrature; higher dimensions fall back to nested Monte Carlo with a
-reported standard error.
+The pair-kernel integrals over the unit cube are polynomials in the cutoff
+for d <= 2: exact for d = 1, and for d = 2 with four edge-strip and corner
+constants stored as float literals (their quadrature oracle is in
+tests/oracles.py).  Higher dimensions fall back to nested Monte Carlo with
+a reported standard error.  The polytope limit term is the one adaptive
+quadrature evaluated at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, exp, factorial, log, perm, pi, sqrt
 
 import numpy as np
@@ -25,89 +26,28 @@ QUAD_ABS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # Ball/cube intersection integrals.
 #
-# a_unit(h...) below work in units of the ball radius; the d = 2 strip and
-# corner contributions are rescaled one-dimensional and two-dimensional
-# quadratures of smooth O(1) integrands, so no precision is lost for tiny
-# cutoffs.
+# For d = 2 and cutoff u <= 1/2, a ball centred within u of one side (but
+# not of two) is clipped by that side alone, and one within u of two
+# adjacent sides by both.  In units of u, the integrals of the clipped area
+# A and of A^2 over an edge strip and over a corner square are four fixed
+# numbers.  They are the reprs of adaptive quadratures (1e-12 tolerance for
+# the strip, 1e-11 for the corner) of the closed-form clipped area;
+# tests/oracles.py keeps that quadrature and the tests hold each literal to
+# it within 1e-11.  C1 = pi - 2/3 and C2 = pi - 29/24 in closed form.
 # ---------------------------------------------------------------------------
 
-
-def _segment_area_unit(h: float) -> float:
-    # area of {y in unit disc : y_1 <= -h}, 0 <= h <= 1
-    if h >= 1.0:
-        return 0.0
-    return float(np.arccos(h) - h * np.sqrt(1.0 - h * h))
-
-
-def _quadrant_excess_unit(a: float, b: float) -> float:
-    # area of {y in unit disc : y_1 <= -a, y_2 <= -b}, needs a^2 + b^2 < 1
-    if a * a + b * b >= 1.0:
-        return 0.0
-
-    def g(x):
-        return 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x)) - b * x
-
-    hi = np.sqrt(1.0 - b * b)
-    return float(g(hi) - g(a))
-
-
-def disc_square_area_unit(h1: float, h2: float) -> float:
-    """Area of the unit disc clipped by the quadrant {y_1 >= -h1, y_2 >= -h2}.
-
-    h1, h2 are the center's distances to the two nearest (adjacent) sides,
-    in units of the radius; h >= 1 means no clipping on that side.
-    """
-    area = pi
-    if h1 < 1.0:
-        area -= _segment_area_unit(h1)
-    if h2 < 1.0:
-        area -= _segment_area_unit(h2)
-    area += _quadrant_excess_unit(h1, h2)
-    return area
-
-
-@lru_cache(maxsize=None)
-def _edge_strip_constants_2d() -> tuple[float, float]:
-    # integrals over h in [0,1] of phi(h) and phi(h)^2, phi = pi - segment
-    c1, _ = integrate.quad(
-        lambda h: pi - _segment_area_unit(h), 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12
-    )
-    c3, _ = integrate.quad(
-        lambda h: (pi - _segment_area_unit(h)) ** 2, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12
-    )
-    return c1, c3
-
-
-@lru_cache(maxsize=None)
-def _corner_constants_2d() -> tuple[float, float]:
-    # integrals over the unit corner square of the clipped area and its square
-    c2, _ = integrate.dblquad(
-        lambda h1, h2: disc_square_area_unit(h1, h2),
-        0.0,
-        1.0,
-        0.0,
-        1.0,
-        epsabs=1e-11,
-        epsrel=1e-11,
-    )
-    c4, _ = integrate.dblquad(
-        lambda h1, h2: disc_square_area_unit(h1, h2) ** 2,
-        0.0,
-        1.0,
-        0.0,
-        1.0,
-        epsabs=1e-11,
-        epsrel=1e-11,
-    )
-    return c2, c4
+EDGE_STRIP_C1 = 2.474925986923128  # integral over h in [0, 1] of the clipped area
+EDGE_STRIP_C3 = 6.35298707647394  # ... of its square
+CORNER_C2 = 1.933259320257704  # integral over the unit corner square of the clipped area
+CORNER_C4 = 4.023977216595262  # ... of its square
 
 
 def cube_pair_integrals(d: int, cutoff: float) -> tuple[float, float]:
     """(I2, I3) for the unit cube: with A(x) = vol(cube intersect B(x, u)),
     I2 = integral of A over the cube and I3 = integral of A^2.
 
-    Exact-to-quadrature for d in {1, 2}; requires cutoff <= 1/2 so that a
-    ball can clip at most adjacent faces.
+    Closed form for d = 1 and, up to the four stored constants, for d = 2;
+    requires cutoff <= 1/2 so that a ball can clip at most adjacent faces.
     """
     u = float(cutoff)
     if u < 0:
@@ -119,12 +59,10 @@ def cube_pair_integrals(d: int, cutoff: float) -> tuple[float, float]:
     if d == 1:
         return 2 * u - u * u, 4 * u * u - (10.0 / 3.0) * u**3
     if d == 2:
-        c1, c3 = _edge_strip_constants_2d()
-        c2, c4 = _corner_constants_2d()
         core = (1 - 2 * u) ** 2
         edge = 4 * (1 - 2 * u)
-        i2 = core * pi * u**2 + edge * u**3 * c1 + 4 * u**4 * c2
-        i3 = core * (pi * u**2) ** 2 + edge * u**5 * c3 + 4 * u**6 * c4
+        i2 = core * pi * u**2 + edge * u**3 * EDGE_STRIP_C1 + 4 * u**4 * CORNER_C2
+        i3 = core * (pi * u**2) ** 2 + edge * u**5 * EDGE_STRIP_C3 + 4 * u**6 * CORNER_C4
         return i2, i3
     raise ValueError("quadrature path implemented for d <= 2; use the Monte Carlo path")
 

@@ -178,9 +178,10 @@ def ergodicity_check(
     s_grid,
     reps: int,
     rng_seed: int,
-) -> list[tuple[float, float]]:
-    """Per horizon s, total variation between the empirical count law of the
-    event-driven state and the Poisson(mass) stationary count law."""
+) -> list[tuple[float, float, np.ndarray]]:
+    """Per horizon s, (s, TV, counts): the total variation between the
+    empirical count law of the event-driven state and the Poisson(mass)
+    stationary count law, and the ``reps`` survivor counts it was measured on."""
     from .metrics import tv_against_poisson
 
     s_grid = list(s_grid)
@@ -193,5 +194,5 @@ def ergodicity_check(
         for i in range(reps):
             rng = derive_rng(rng_seed, j, i)
             counts[i] = survivor_count_event_driven(n0, target.mass, s, rng)
-        out.append((float(s), tv_against_poisson(counts, target.mass)))
+        out.append((float(s), tv_against_poisson(counts, target.mass), counts))
     return out

@@ -9,11 +9,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+
+
+def _no_nan(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("law evaluated at NaN")
+    return x
 
 
 @dataclass(frozen=True)
 class PoissonLaw:
+    """Poisson(lam) on the nonnegative integers.
+
+    pmf, cdf and ppf use the same ``scipy.special`` formulas as
+    ``scipy.stats.poisson`` and agree with it bit for bit (tests/test_laws.py).
+    A scalar argument gives a numpy scalar, an array an array.
+    """
+
     lam: float
 
     def __post_init__(self):
@@ -21,13 +35,36 @@ class PoissonLaw:
             raise ValueError("Poisson mean must be nonnegative")
 
     def pmf(self, k) -> np.ndarray:
-        return stats.poisson.pmf(k, self.lam)
+        """exp(k log lam - log k! - lam) at the nonnegative integers, 0 elsewhere."""
+        k = _no_nan(k)
+        out = np.zeros(k.shape)
+        on = (k >= 0) & np.isfinite(k) & (np.floor(k) == k)
+        log_p = special.xlogy(k[on], self.lam) - special.gammaln(k[on] + 1) - self.lam
+        out[on] = np.clip(np.exp(log_p), 0, 1)
+        return out[()]
 
     def cdf(self, x) -> np.ndarray:
-        return stats.poisson.cdf(x, self.lam)
+        """P(N <= x): the regularized incomplete gamma ``pdtr(floor(x), lam)``."""
+        x = _no_nan(x)
+        out = np.zeros(x.shape)
+        on = x >= 0
+        out[on] = np.clip(special.pdtr(np.floor(x[on]), self.lam), 0, 1)
+        return out[()]
 
     def cdf_left(self, x) -> np.ndarray:
-        return stats.poisson.cdf(np.ceil(np.asarray(x, dtype=float)) - 1, self.lam)
+        """P(N < x)."""
+        return self.cdf(np.ceil(np.asarray(x, dtype=float)) - 1)
+
+    def ppf(self, q) -> np.ndarray:
+        """Smallest k with P(N <= k) >= q, for 0 < q < 1: the inverse of
+        ``pdtr`` in its mean argument, rounded up, then one step down when
+        ``pdtr`` at the integer below already reaches q."""
+        q = _no_nan(q)
+        if not np.all((q > 0) & (q < 1)):
+            raise ValueError("Poisson quantile needs 0 < q < 1")
+        k = np.ceil(special.pdtrik(q, self.lam))
+        below = np.maximum(k - 1, 0)
+        return np.where(special.pdtr(below, self.lam) >= q, below, k)[()]
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.poisson(self.lam, size=size)

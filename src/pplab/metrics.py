@@ -5,7 +5,9 @@ The 1-D distances take the arrays a scenario already holds: real samples
 for `kolmogorov`, integer samples for `tv_integer` and `tv_against_poisson`,
 two real samples and a cell count for `tv_discretized`, and for
 `wasserstein1` a pmf and a target CDF on the integer grid 0..K, so the
-estimate and each bootstrap resample go through the same function.
+estimate and each bootstrap resample go through the same function. The TV
+distances likewise share `tv_pmfs`, whose pmf arguments `integer_pmfs` and
+`poisson_pmfs` build from samples, so a bootstrap can resample histograms.
 
 `ot_exact` is the certified general solver: a HiGHS transportation LP that
 returns dual potentials certifying optimality. Acceptance criterion A1 and
@@ -29,6 +31,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .configuration import Configuration
+from .laws import PoissonLaw
 
 MARGINAL_TOL = 1e-9
 DUALITY_TOL = 1e-8
@@ -62,16 +65,37 @@ def clamp_tv(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def tv_integer(counts_a, counts_b) -> float:
-    """Total variation distance between the empirical laws of two integer
-    samples: half the l1 gap of their pmfs over the joint observed range."""
+def tv_pmfs(p, q, tail: float = 0.0) -> float:
+    """Total variation distance between two laws given as pmfs on one grid,
+    where ``tail`` is mass the second law puts off the grid and the first
+    does not: half the l1 gap plus the tail, clamped to [0, 1]."""
+    return clamp_tv(0.5 * (float(np.abs(p - q).sum()) + tail))
+
+
+def integer_pmfs(counts_a, counts_b) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical pmfs of two integer samples on their joint observed range."""
     a = np.asarray(counts_a, dtype=int)
     b = np.asarray(counts_b, dtype=int)
     lo = min(a.min(), b.min())
     size = max(a.max(), b.max()) - lo + 1
-    pa = np.bincount(a - lo, minlength=size) / a.size
-    pb = np.bincount(b - lo, minlength=size) / b.size
-    return clamp_tv(0.5 * float(np.abs(pa - pb).sum()))
+    return np.bincount(a - lo, minlength=size) / a.size, np.bincount(b - lo, minlength=size) / b.size
+
+
+def tv_integer(counts_a, counts_b) -> float:
+    """Total variation distance between the empirical laws of two integer
+    samples: half the l1 gap of their pmfs over the joint observed range."""
+    return tv_pmfs(*integer_pmfs(counts_a, counts_b))
+
+
+def poisson_pmfs(counts, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Empirical pmf of nonnegative integer observations and the Poisson(lam)
+    pmf on one grid 0..K that covers the sample and, for lam > 0, all but
+    1e-12 of the Poisson mass; third, that Poisson mass beyond K."""
+    counts = np.asarray(counts, dtype=int)
+    law = PoissonLaw(lam)
+    kmax = max(int(counts.max()), int(law.ppf(1 - 1e-12))) if lam > 0 else int(counts.max())
+    pois = law.pmf(np.arange(kmax + 1))
+    return np.bincount(counts, minlength=kmax + 1) / counts.size, pois, max(1.0 - pois.sum(), 0.0)
 
 
 def tv_against_poisson(counts: np.ndarray, lam: float) -> float:
@@ -80,14 +104,7 @@ def tv_against_poisson(counts: np.ndarray, lam: float) -> float:
     The analytic pmf beyond the observed range enters through its lumped
     tail, so the value is exact up to floating point.
     """
-    from scipy import stats
-
-    counts = np.asarray(counts, dtype=int)
-    kmax = max(int(counts.max()), int(stats.poisson.ppf(1 - 1e-12, lam))) if lam > 0 else int(counts.max())
-    emp = np.bincount(counts, minlength=kmax + 1) / counts.size
-    pois = stats.poisson.pmf(np.arange(kmax + 1), lam)
-    tail = 1.0 - pois.sum()
-    return clamp_tv(0.5 * (float(np.abs(emp - pois).sum()) + max(tail, 0.0)))
+    return tv_pmfs(*poisson_pmfs(counts, lam))
 
 
 def tv_discretized(a: np.ndarray, b: np.ndarray, cells: int) -> float:
@@ -97,9 +114,7 @@ def tv_discretized(a: np.ndarray, b: np.ndarray, cells: int) -> float:
     if hi <= 0:
         return 0.0
     edges = np.linspace(0.0, hi * (1 + 1e-12), cells + 1)
-    pa = np.histogram(a, bins=edges)[0] / len(a)
-    pb = np.histogram(b, bins=edges)[0] / len(b)
-    return clamp_tv(0.5 * float(np.abs(pa - pb).sum()))
+    return tv_pmfs(np.histogram(a, bins=edges)[0] / len(a), np.histogram(b, bins=edges)[0] / len(b))
 
 
 def wasserstein1(pmf, cdf) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from math import exp, sqrt
 
 import numpy as np
-from scipy.stats import poisson
 
 from . import bounds as bnd
 from . import glauber as glb
@@ -301,19 +300,27 @@ def _bootstrap_se(values: np.ndarray, statistic, n_boot: int, seed: int) -> floa
     return float(stats.std(ddof=1))
 
 
-def _bootstrap_se_poisson_w1(counts: np.ndarray, cdf: np.ndarray, n_boot: int, seed: int) -> float:
-    """Bootstrap spread of `metrics.wasserstein1` against ``cdf``, resampling
-    the count histogram directly (equivalent to i.i.d. resampling)."""
-    rng = derive_rng(seed, 77_003)
-    n = len(counts)
-    hist = np.bincount(counts)
-    p = hist / n
-    pmf = np.zeros(len(cdf))
+def _bootstrap_se_pmfs(samples, statistic, n_boot: int, rng: np.random.Generator) -> float:
+    """Bootstrap spread of ``statistic(*pmfs)``, where each ``(pmf, n)`` of
+    ``samples`` is the empirical pmf of n i.i.d. integer draws.  A resample
+    redraws each histogram multinomially, which is i.i.d. resampling of the
+    draws at O(bins) instead of O(n) cost."""
     out = np.empty(n_boot)
     for b in range(n_boot):
-        pmf[: len(hist)] = rng.multinomial(n, p) / n
-        out[b] = metrics.wasserstein1(pmf, cdf)
+        out[b] = statistic(*(rng.multinomial(n, p) / n for p, n in samples))
     return float(out.std(ddof=1))
+
+
+def _bootstrap_se_poisson_w1(counts: np.ndarray, cdf: np.ndarray, n_boot: int, seed: int) -> float:
+    """Bootstrap spread of `metrics.wasserstein1` against ``cdf``."""
+    pmf = np.zeros(len(cdf))
+
+    def w1(resampled):
+        pmf[: len(resampled)] = resampled
+        return metrics.wasserstein1(pmf, cdf)
+
+    n = len(counts)
+    return _bootstrap_se_pmfs([(np.bincount(counts) / n, n)], w1, n_boot, derive_rng(seed, 77_003))
 
 
 def _fit_loglog_slope(ts, ds):
@@ -341,7 +348,7 @@ def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
         args = (d, t, transform.pair_count_within, (theta,), 1)
         counts = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed).astype(int)
         # the grid 0..K covers the sample and all but 1e-14 of the target's mass
-        k = max(int(counts.max()), int(poisson.ppf(1 - 1e-14, target.lam)) + 2)
+        k = max(int(counts.max()), int(target.ppf(1 - 1e-14)) + 2)
         cdf = target.cdf(np.arange(k + 1))
         dw = metrics.wasserstein1(np.bincount(counts, minlength=k + 1) / counts.size, cdf)
         se = _bootstrap_se_poisson_w1(counts, cdf, n_boot, cfg.seed)
@@ -567,8 +574,12 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
         rng2 = derive_rng(cfg.seed, 2, i)
         ex[i] = glb.simulate_exact_law(omega0, target, s_tv, rng2).total()
     tv = metrics.tv_integer(ed, ex)
+    # bootstrap error bars on the TV rows; the verdicts stay fixed-threshold
+    n_boot = 200
+    pa, pb = metrics.integer_pmfs(ed, ex)
+    se = _bootstrap_se_pmfs([(pa, ed.size), (pb, ex.size)], metrics.tv_pmfs, n_boot, derive_rng(cfg.seed, 77_004, 0))
     rows = [
-        _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, 0.0, 0.02, "acceptance threshold",
+        _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, se, 0.02, "acceptance threshold",
              passed=tv < 0.02, d=1)
     ]
 
@@ -590,11 +601,15 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     table = glb.ergodicity_check(
         Configuration(space=domain.space_tag), target, s_grid, cfg.reps, cfg.seed + 71
     )
-    tvs = [tv_s for _, tv_s in table]
+    tvs = [tv_s for _, tv_s, _ in table]
     monotone = all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
-    for (s, tv_s) in table:
+    for j, (s, tv_s, counts) in enumerate(table, start=1):
+        emp, pois, tail = metrics.poisson_pmfs(counts, target.mass)
+        se = _bootstrap_se_pmfs(
+            [(emp, counts.size)], lambda p: metrics.tv_pmfs(p, pois, tail), n_boot, derive_rng(cfg.seed, 77_004, j)
+        )
         settled = (1 - exp(-s)) > 0.999
-        rows.append(_row(cfg, s, "ergodicity", "tv-to-stationary-counts", tv_s, 0.0,
+        rows.append(_row(cfg, s, "ergodicity", "tv-to-stationary-counts", tv_s, se,
                          0.03 if settled else None, "acceptance threshold once 1-e^-s > 0.999",
                          passed=tv_s < 0.03 if settled else True, d=1))
     passed = all(r.passed for r in rows) and monotone

@@ -2,8 +2,9 @@
 
 None of these is on a scenario path: each is the slow, direct form of
 something pplab computes another way (enumerated U-statistics for the pair
-kernels, a Monte Carlo for the quadrature moments, a least-squares solver
-for the closed-form line-pair distances, readers for the emitted files).
+kernels, a Monte Carlo for the quadrature moments, adaptive quadrature for
+the stored d = 2 pair-integral constants, a least-squares solver for the
+closed-form line-pair distances, readers for the emitted files).
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import fsum, sqrt
+from functools import lru_cache
+from math import fsum, pi, sqrt
 
 import numpy as np
+from scipy import integrate
 
-from pplab.bounds import MomentPair
+from pplab.bounds import QUAD_ABS_TOL, MomentPair
 from pplab.configuration import Configuration
 from pplab.rng import derive_rng
 from pplab.transform import SymmetricKernel, induce, pair_count_within
@@ -83,6 +86,69 @@ def edge_midpoint_process(config: Configuration, cutoff: float) -> Configuration
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     return induce(config, midpoint_kernel(cutoff))
+
+
+# d = 2 ball/cube intersection areas, in units of the ball radius, and the
+# quadratures behind the edge-strip and corner constants of
+# ``pplab.bounds.cube_pair_integrals``.
+
+
+def _segment_area_unit(h: float) -> float:
+    # area of {y in unit disc : y_1 <= -h}, 0 <= h <= 1
+    if h >= 1.0:
+        return 0.0
+    return float(np.arccos(h) - h * np.sqrt(1.0 - h * h))
+
+
+def _quadrant_excess_unit(a: float, b: float) -> float:
+    # area of {y in unit disc : y_1 <= -a, y_2 <= -b}, needs a^2 + b^2 < 1
+    if a * a + b * b >= 1.0:
+        return 0.0
+
+    def g(x):
+        return 0.5 * (x * np.sqrt(1.0 - x * x) + np.arcsin(x)) - b * x
+
+    hi = np.sqrt(1.0 - b * b)
+    return float(g(hi) - g(a))
+
+
+def disc_square_area_unit(h1: float, h2: float) -> float:
+    """Area of the unit disc clipped by the quadrant {y_1 >= -h1, y_2 >= -h2}.
+
+    h1, h2 are the center's distances to the two nearest (adjacent) sides,
+    in units of the radius; h >= 1 means no clipping on that side.
+    """
+    area = pi
+    if h1 < 1.0:
+        area -= _segment_area_unit(h1)
+    if h2 < 1.0:
+        area -= _segment_area_unit(h2)
+    area += _quadrant_excess_unit(h1, h2)
+    return area
+
+
+@lru_cache(maxsize=None)
+def edge_strip_constants_2d() -> tuple[float, float]:
+    """(C1, C3): integrals over h in [0, 1] of phi(h) and phi(h)^2, phi = pi - segment."""
+    c1, _ = integrate.quad(
+        lambda h: pi - _segment_area_unit(h), 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12
+    )
+    c3, _ = integrate.quad(
+        lambda h: (pi - _segment_area_unit(h)) ** 2, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=1e-12
+    )
+    return c1, c3
+
+
+@lru_cache(maxsize=None)
+def corner_constants_2d() -> tuple[float, float]:
+    """(C2, C4): integrals over the unit corner square of the clipped area and its square."""
+    c2, _ = integrate.dblquad(
+        lambda h1, h2: disc_square_area_unit(h1, h2), 0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11
+    )
+    c4, _ = integrate.dblquad(
+        lambda h1, h2: disc_square_area_unit(h1, h2) ** 2, 0.0, 1.0, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11
+    )
+    return c2, c4
 
 
 def gilbert_moments_mc(

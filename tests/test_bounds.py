@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import gilbert_moments_mc
+from oracles import corner_constants_2d, edge_strip_constants_2d, gilbert_moments_mc
 from pplab import bounds as bnd
 from pplab.bounds import (
     MomentPair,
@@ -33,10 +33,29 @@ def test_pair_integral_d2_matches_classic_formula():
 
 
 def test_pair_integral_constants_closed_forms():
-    c1, _ = bnd._edge_strip_constants_2d()
-    c2, _ = bnd._corner_constants_2d()
-    assert c1 == pytest.approx(np.pi - 2 / 3, abs=1e-10)
-    assert c2 == pytest.approx(np.pi - 29 / 24, abs=1e-9)
+    assert bnd.EDGE_STRIP_C1 == pytest.approx(np.pi - 2 / 3, abs=1e-10)
+    assert bnd.CORNER_C2 == pytest.approx(np.pi - 29 / 24, abs=1e-9)
+
+
+def test_pair_integral_constants_match_quadrature_oracle():
+    c1, c3 = edge_strip_constants_2d()
+    c2, c4 = corner_constants_2d()
+    for stored, quad in zip(
+        (bnd.EDGE_STRIP_C1, bnd.EDGE_STRIP_C3, bnd.CORNER_C2, bnd.CORNER_C4), (c1, c3, c2, c4)
+    ):
+        assert abs(stored - quad) <= 1e-11
+
+
+def test_pair_integrals_run_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature on the cube pair-integral path")
+
+    monkeypatch.setattr(bnd.integrate, "quad", refuse)
+    monkeypatch.setattr(bnd.integrate, "dblquad", refuse)
+    for d in (1, 2):
+        for u in (0.002, 0.1, 0.5):
+            i2, i3 = cube_pair_integrals(d, u)
+            assert 0 < i3 < i2
 
 
 def test_pair_integral_d1_closed_forms():

@@ -135,6 +135,19 @@ def test_glauber_small_reps_rows_have_standard_errors():
         scenarios.run(cfg)
 
 
+def test_glauber_tv_rows_carry_bootstrap_errors():
+    # the TV rows get a bootstrap stderr; the verdicts stay fixed-threshold
+    cfg = ScenarioConfig(scenario="glauber-verify", d=1, t_grid=(1.0,), reps=300, seed=4,
+                         params={"commutation_reps": 2})
+    rows = [r for r in scenarios.run(cfg).rows if r.distance_name.startswith("tv")]
+    assert len(rows) == 6
+    for r in rows:
+        assert 0 < r.stderr < 0.1
+        if r.bound is not None:
+            assert r.passed == (r.distance < r.bound)
+    assert scenarios.run(cfg).rows == scenarios.run(cfg).rows
+
+
 def _committed_configs():
     """Every config the repository runs: ``configs/*.json``, the benchmark
     workloads and the ``pplab verify`` scenarios."""

@@ -178,6 +178,19 @@ def test_tv_integer_detects_poisson_mean_shift():
     assert dtv - tv_integer(a, same) > 10 * se
 
 
+def test_histogram_bootstrap_matches_index_bootstrap():
+    # multinomial resampling of the count histogram is i.i.d. resampling of
+    # the counts, so both give the same bootstrap spread up to noise
+    counts = derive_rng(60).poisson(5.0, size=2000)
+    by_index = scenarios._bootstrap_se(counts, lambda s: tv_against_poisson(s, 5.0), 400, 60)
+    emp, pois, tail = metrics.poisson_pmfs(counts, 5.0)
+    by_hist = scenarios._bootstrap_se_pmfs(
+        [(emp, counts.size)], lambda p: metrics.tv_pmfs(p, pois, tail), 400, derive_rng(61)
+    )
+    assert metrics.tv_pmfs(emp, pois, tail) == tv_against_poisson(counts, 5.0)
+    assert 0.8 < by_hist / by_index < 1.25
+
+
 # --- configuration TV cost ---------------------------------------------------
 
 
