@@ -147,7 +147,6 @@ class MomentPair:
 
     mean: float
     second_moment: float
-    method: str = "quadrature"
     mean_se: float = 0.0
     second_se: float = 0.0
 
@@ -167,62 +166,12 @@ def gilbert_moments(
         second = 0.25 * perm(n, 4) * i2**2 + perm(n, 3) * i3 + 0.5 * perm(n, 2) * i2
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return MomentPair(mean=mean, second_moment=second, method="quadrature")
+    return MomentPair(mean=mean, second_moment=second)
 
 
 # ---------------------------------------------------------------------------
 # Assembled bounds.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    dtv_term: float
-    r_term: float
-    moment_term: float | None
-    binomial_term: float
-    value: float
-    form: str
-    provenance: dict
-
-    def __post_init__(self):
-        terms = [self.dtv_term, self.r_term, self.binomial_term]
-        if self.moment_term is not None:
-            terms.append(self.moment_term)
-        if any(v < 0 for v in terms):
-            raise ValueError("bound terms must be nonnegative")
-
-
-def assemble_bound_report(
-    dtv: float,
-    r: "RTermResult",
-    k: int,
-    mode: str = "poisson",
-    mass_l: float = 0.0,
-    n: int | None = None,
-    moments: MomentPair | None = None,
-    dtv_provenance: str = "analytic",
-) -> BoundReport:
-    """Bound value plus its per-term breakdown and provenance flags."""
-    value = thm_main_bound(dtv, r.value, k, mode=mode, mass_l=mass_l, n=n, moments=moments)
-    binom_term = 6**k * factorial(k) * mass_l**2 / n if mode == "binomial" and n else 0.0
-    moment_term = None
-    if moments is not None:
-        m1, m2 = moments.mean, moments.second_moment
-        moment_term = max(0.0, 2.0 * (m2 - m1 - m1**2))
-    return BoundReport(
-        dtv_term=dtv,
-        r_term=2.0 ** (k + 1) / factorial(k) * r.value,
-        moment_term=moment_term,
-        binomial_term=binom_term,
-        value=value,
-        form="moment-form" if moments is not None else "r-form",
-        provenance={
-            "dtv": dtv_provenance,
-            "r": r.method,
-            "moments": moments.method if moments is not None else None,
-        },
-    )
 
 
 def thm_main_bound(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import Domain
-from .rng import derive_rng
+from .rng import derive_rng, replicate
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,7 @@ def ergodicity_check(
     n0 = omega.total()
     out = []
     for j, s in enumerate(s_grid):
-        counts = np.empty(reps, dtype=int)
-        for i in range(reps):
-            rng = derive_rng(rng_seed, j, i)
-            counts[i] = survivor_count_event_driven(n0, target.mass, s, rng)
+        args = (n0, target.mass, s)
+        counts = np.array(replicate(survivor_count_event_driven, args, reps, rng_seed, j))
         out.append((float(s), tv_against_poisson(counts, target.mass), counts))
     return out

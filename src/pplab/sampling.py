@@ -11,6 +11,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import Domain, unit_ball_volume
+from .rng import replicate
 
 
 def sample_poisson(domain: Domain, t: float, rng: np.random.Generator) -> Configuration:
@@ -210,6 +211,24 @@ class NeighborCountG(MeckeTestFunction):
         return float(vals.sum() - np.minimum(2 * counts, self.cap).sum() / self.cap)
 
 
+def _mecke_sides(domain, t, k, g, mode, n, tuple_weight, rng) -> tuple[float, float]:
+    """One replication of `mecke_check`: the left-side g-sum and the right-side term."""
+    if mode == "poisson":
+        pts = domain.sample(rng, rng.poisson(t * domain.mass))
+        # fresh sample of the same law for the right side
+        ambient = domain.sample(rng, rng.poisson(t * domain.mass))
+    else:
+        pts = domain.sample(rng, n)
+        # the right side sees an (n - k)-point sample plus the added atoms
+        ambient = domain.sample(rng, n - k) if n >= k else domain.sample(rng, 0)
+    y = domain.sample(rng, k)
+    augmented = np.vstack([ambient, y]) if len(ambient) else y
+    val = g.tuple_value(y, augmented)
+    if val < 0 or val > g.bound + 1e-12:
+        raise ValueError("test function left its declared bound")
+    return g.config_sum(pts), tuple_weight * val
+
+
 def mecke_check(
     domain: Domain,
     t: float,
@@ -244,29 +263,8 @@ def mecke_check(
     else:
         tuple_weight = (t * domain.mass) ** k
 
-    from .rng import derive_rng
-
-    lhs_vals = np.empty(reps)
-    rhs_vals = np.empty(reps)
-    for i in range(reps):
-        rng = derive_rng(rng_seed, i)
-        if mode == "poisson":
-            pts = domain.sample(rng, rng.poisson(t * domain.mass))
-            # fresh sample of the same law for the right side
-            ambient = domain.sample(rng, rng.poisson(t * domain.mass))
-        else:
-            pts = domain.sample(rng, n)
-            # the right side sees an (n - k)-point sample plus the added atoms
-            ambient = domain.sample(rng, n - k) if n >= k else domain.sample(rng, 0)
-        lhs_vals[i] = g.config_sum(pts)
-
-        y = domain.sample(rng, k)
-        augmented = np.vstack([ambient, y]) if len(ambient) else y
-        val = g.tuple_value(y, augmented)
-        if val < 0 or val > g.bound + 1e-12:
-            raise ValueError("test function left its declared bound")
-        rhs_vals[i] = tuple_weight * val
-
+    args = (domain, t, k, g, mode, n, tuple_weight)
+    lhs_vals, rhs_vals = np.array(replicate(_mecke_sides, args, reps, rng_seed)).T.copy()
     lhs_mean = float(lhs_vals.mean())
     rhs_mean = float(rhs_vals.mean())
     pooled = float(

@@ -2,17 +2,19 @@
 measure its distance to the analytic target, and set the measured value
 against the corresponding explicit bound.
 
-Replications fan out over a process pool when PPLAB_THREADS asks for one;
-every replication owns a derived RNG stream, so results do not depend on
-the worker count.
+Every per-replication loop goes through `rng.replicate`: replication i of
+a statistic draws from the stream derived from (seed, stream ids, i), and
+the replications fan out over a process pool when PPLAB_THREADS asks for
+one, so results do not depend on the worker count.  Draws made once per
+grid point or per side (target samples, side-B configurations, bootstraps)
+stay sequential on their own single streams.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import exp, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import metrics, sampling, transform
 from .configuration import Configuration
 from .geometry import Domain, unit_ball_volume
 from .laws import PoissonLaw
-from .rng import derive_rng
+from .rng import _threads, derive_rng, replicate
 
 # the params keys each runner reads; any other key is a configuration error
 _PARAMS = {
@@ -53,6 +55,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError("params must be an object")
+        if any(isinstance(t, bool) or not isinstance(t, Real) for t in self.t_grid):
+            raise ValueError("t_grid must be a list of numbers")
         unknown = sorted(set(self.params) - set(_PARAMS[self.scenario]))
         if unknown:
             raise ValueError(f"unknown params for {self.scenario}: {unknown}")
@@ -80,18 +86,23 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError("a config must be an object")
         known = {"scenario", "d", "t_grid", "reps", "seed", "params"}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        cfg = cls(
-            scenario=data.get("scenario", ""),
-            d=int(data.get("d", 2)),
-            t_grid=tuple(data.get("t_grid", (50.0,))),
-            reps=int(data.get("reps", 1000)),
-            seed=int(data.get("seed", 0)),
-            params=dict(data.get("params", {})),
-        )
+        try:
+            cfg = cls(
+                scenario=data.get("scenario", ""),
+                d=int(data.get("d", 2)),
+                t_grid=tuple(data.get("t_grid", (50.0,))),
+                reps=int(data.get("reps", 1000)),
+                seed=int(data.get("seed", 0)),
+                params=data.get("params", {}),
+            )
+        except TypeError:  # int() of a list, or a t_grid that is not a list
+            raise ValueError("d, reps and seed must be integers, t_grid a list") from None
         cfg.validate()
         return cfg
 
@@ -162,81 +173,25 @@ def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
                 passed=gap < 3 * pooled or pooled == 0.0, d=d)
 
 
-def _threads() -> int:
-    """Worker count from PPLAB_THREADS: unset means 1, else a positive integer."""
-    raw = os.environ.get("PPLAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"PPLAB_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
-def _parallel_chunks(fn, static_args: tuple, reps: int, seed: int):
-    """Run fn(static_args, seed, lo, hi) over [0, reps) and concatenate.
-
-    Chunks are assembled in index order, so the result is identical for any
-    worker count.
-    """
-    threads = _threads()
-    if threads == 1:
-        return np.asarray(fn(static_args, seed, 0, reps))
-    n_chunks = min(reps, threads * 4)
-    edges = np.linspace(0, reps, n_chunks + 1, dtype=int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_chunk_worker, [(fn, static_args, seed, lo, hi) for lo, hi in spans]))
-    return np.concatenate(parts)
-
-
-def _chunk_worker(packed):
-    fn, static_args, seed, lo, hi = packed
-    return np.asarray(fn(static_args, seed, lo, hi))
-
-
 # ---------------------------------------------------------------------------
-# Per-replication statistic workers (top level so the pool can pickle them).
+# Per-replication statistics, one call per derived stream (top level so the
+# pool of ``rng.replicate`` can pickle them).
 # ---------------------------------------------------------------------------
 
 
-def _cube_stat_chunk(args, seed, lo, hi):
-    """scale * kernel(pts, *kernel_args) on Poisson(t) uniform points of [0, 1]^d."""
-    d, t, kernel, kernel_args, scale = args  # kernel is top level, so the pool can pickle it
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, i)
-        pts = rng.uniform(size=(rng.poisson(t), d))
-        out[i - lo] = scale * kernel(pts, *kernel_args)
-    return out
+def _cube_stat(d, t, kernel, kernel_args, rng):
+    """kernel(pts, *kernel_args) on Poisson(t) uniform points of [0, 1]^d."""
+    return kernel(rng.uniform(size=(rng.poisson(t), d)), *kernel_args)
 
 
-def _reversed_diameter_chunk(args, seed, lo, hi):
-    d, t = args
-    out = np.empty(hi - lo)
-    scale = t ** (4.0 / (d - 1))
-    sphere = Domain("sphere", d)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, i)
-        pts = sphere.sample(rng, rng.poisson(t))
-        if len(pts) < 2:
-            out[i - lo] = np.inf  # no pair at all
-        else:
-            out[i - lo] = scale * (2.0 - transform.max_pair_distance(pts))
-    return out
+def _reversed_diameter(sphere, t, scale, rng):
+    pts = sphere.sample(rng, rng.poisson(t))
+    return scale * (2.0 - transform.max_pair_distance(pts)) if len(pts) >= 2 else np.inf
 
 
-def _flat_pair_midpoint_count_chunk(args, seed, lo, hi):
-    d, m, t, window_radius, ball_radius, eps = args
-    if (d, m) != (3, 1):
-        raise ValueError("vectorized flat-pair path covers lines in R^3")
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, i)
-        flats = sampling.sample_poisson_flats(d, m, t, window_radius, rng)
-        out[i - lo] = _count_close_line_pairs(flats, eps, ball_radius)
-    return out
+def _flat_pair_midpoint_count(d, m, t, window_radius, ball_radius, eps, rng):
+    flats = sampling.sample_poisson_flats(d, m, t, window_radius, rng)
+    return _count_close_line_pairs(flats, eps, ball_radius)
 
 
 def _count_close_line_pairs(frames, eps, ball_radius) -> int:
@@ -274,16 +229,6 @@ def _count_close_line_pairs(frames, eps, ball_radius) -> int:
     mid = (p1 + p2) / 2.0
     close = ok & (dist <= eps) & (np.linalg.norm(mid, axis=1) <= ball_radius)
     return int(close.sum())
-
-
-def _midpoint_config_chunk(args, seed, lo, hi):
-    """Object array of the ``(k, d)`` midpoint arrays, one per replication."""
-    d, t, cutoff = args
-    out = np.empty(hi - lo, dtype=object)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, i)
-        out[i - lo] = transform.pair_midpoints(rng.uniform(size=(rng.poisson(t), d)), cutoff)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +290,8 @@ def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for t in cfg.t_grid:
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
-        args = (d, t, transform.pair_count_within, (theta,), 1)
-        counts = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed).astype(int)
+        args = (d, t, transform.pair_count_within, (theta,))
+        counts = np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
         # the grid 0..K covers the sample and all but 1e-14 of the target's mass
         k = max(int(counts.max()), int(target.ppf(1 - 1e-14)) + 2)
         cdf = target.cdf(np.arange(k + 1))
@@ -383,9 +328,8 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for idx, t in enumerate(cfg.t_grid):
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
-        scale = t ** (2.0 * b / d)
-        args = (d, t, transform.pair_sum_power, (b, theta), scale)
-        stat = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed)
+        args = (d, t, transform.pair_sum_power, (b, theta))
+        stat = t ** (2.0 * b / d) * np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
         target = limits.edge_length.sample_many(
             derive_rng(cfg.seed, 555_001, idx), target_factor * cfg.reps
         )
@@ -431,9 +375,8 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
         rate = -2.0 / (3 * d + 2)
     rows = []
     for t in cfg.t_grid:
-        scale = t ** (-2.0 * tau / d)
-        args = (d, t, transform.pair_sum_inverse_power, (tau,), scale)
-        stat = _parallel_chunks(_cube_stat_chunk, args, cfg.reps, cfg.seed)
+        args = (d, t, transform.pair_sum_inverse_power, (tau,))
+        stat = t ** (-2.0 * tau / d) * np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
         dk = metrics.kolmogorov(stat, levy)
         se = _bootstrap_se(
             stat,
@@ -470,7 +413,8 @@ def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
         theta = t ** (-1.0 / d)  # keeps t^2 theta^d growing
         cutoff = min(theta, a * t ** (-2.0 / d))
         space = f"midpoints({d})"
-        mids = _parallel_chunks(_midpoint_config_chunk, (d, t, cutoff), n_configs, cfg.seed)
+        args = (d, t, transform.pair_midpoints, (cutoff,))
+        mids = replicate(_cube_stat, args, n_configs, cfg.seed)
         side_a = [Configuration.from_array(m, space=space) for m in mids]
         mass = 0.5 * kd * a**d
         rng_b = derive_rng(cfg.seed, 888_001)
@@ -497,16 +441,14 @@ def _run_flats(cfg: ScenarioConfig) -> RunResult:
     mc_samples = int(cfg.params.get("constant_mc_samples", 200_000))
     sc = bnd.flats_constant(d, m)
     vol_k = unit_ball_volume(d) * ball_radius**d
+    if (d, m) != (3, 1):
+        raise ValueError("vectorized flat-pair path covers lines in R^3")
     rows = []
     for t in cfg.t_grid:
         eps = a * t ** (-2.0 / (d - 2 * m))
         window = ball_radius + eps
-        counts = _parallel_chunks(
-            _flat_pair_midpoint_count_chunk,
-            (d, m, t, window, ball_radius, eps),
-            cfg.reps,
-            cfg.seed,
-        )
+        args = (d, m, t, window, ball_radius, eps)
+        counts = np.array(replicate(_flat_pair_midpoint_count, args, cfg.reps, cfg.seed))
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / sqrt(cfg.reps))
         target = sc * a ** (d - 2 * m) * vol_k
@@ -535,7 +477,8 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for t in cfg.t_grid:
         reps = reps_by_t.get(float(t), cfg.reps)
-        scaled = _parallel_chunks(_reversed_diameter_chunk, (d, t), reps, cfg.seed)
+        args = (Domain("sphere", d), t, t ** (4.0 / (d - 1)))
+        scaled = np.array(replicate(_reversed_diameter, args, reps, cfg.seed))
         p_emp = float((scaled > a).mean())
         _, _, tail = bnd.polytope_law(d, t, a)
         gap = abs(p_emp - tail)
@@ -555,6 +498,11 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
     )
 
 
+def _total(simulate, omega, target, s, rng) -> int:
+    """Population size at time s; only this int, not the state, crosses the pool."""
+    return simulate(omega, target, s, rng).total()
+
+
 def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     mass = float(cfg.params.get("mass", 5.0))
     s_tv = float(cfg.params.get("s_tv", 1.0))
@@ -566,17 +514,13 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
 
     # event-driven vs exact-law simulators, compared through their count laws
     omega0 = Configuration.from_points([0.25, 0.5, 0.75], space=domain.space_tag)
-    ed = np.empty(cfg.reps, dtype=int)
-    ex = np.empty(cfg.reps, dtype=int)
-    for i in range(cfg.reps):
-        rng = derive_rng(cfg.seed, 1, i)
-        ed[i] = glb.simulate_event_driven(omega0, target, s_tv, rng).total()
-        rng2 = derive_rng(cfg.seed, 2, i)
-        ex[i] = glb.simulate_exact_law(omega0, target, s_tv, rng2).total()
-    tv = metrics.tv_integer(ed, ex)
+    sim = (omega0, target, s_tv)
+    ed = np.array(replicate(_total, (glb.simulate_event_driven, *sim), cfg.reps, cfg.seed, 1))
+    ex = np.array(replicate(_total, (glb.simulate_exact_law, *sim), cfg.reps, cfg.seed, 2))
+    pa, pb = metrics.integer_pmfs(ed, ex)
+    tv = metrics.tv_pmfs(pa, pb)
     # bootstrap error bars on the TV rows; the verdicts stay fixed-threshold
     n_boot = 200
-    pa, pb = metrics.integer_pmfs(ed, ex)
     se = _bootstrap_se_pmfs([(pa, ed.size), (pb, ex.size)], metrics.tv_pmfs, n_boot, derive_rng(cfg.seed, 77_004, 0))
     rows = [
         _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, se, 0.02, "acceptance threshold",
@@ -654,12 +598,8 @@ def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
     space = f"pushforward({d})"
     if mode == "identity-mapping":
         kernel = transform.identity_kernel(target_space=space)
-        side_a = []
-        for i in range(n_configs):
-            rng = derive_rng(cfg.seed, 3, i)
-            mu = sampling.sample_poisson(domain, t, rng)
-            pushed = transform.induce(mu, kernel)
-            side_a.append(pushed)
+        side_a = [transform.induce(mu, kernel) for mu in
+                  replicate(sampling.sample_poisson, (domain, t), n_configs, cfg.seed, 3)]
         rng_b = derive_rng(cfg.seed, 4)
         side_b = [
             Configuration.from_array(

@@ -173,7 +173,6 @@ def gilbert_moments_mc(
     return MomentPair(
         mean=mean,
         second_moment=second,
-        method="monte-carlo",
         mean_se=float(counts.std(ddof=1) / sqrt(reps)),
         second_se=float((counts**2).std(ddof=1) / sqrt(reps)),
     )

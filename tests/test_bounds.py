@@ -332,20 +332,6 @@ def test_polytope_law_regime_guard():
         polytope_law(3, 1.0, 2.5)
 
 
-def test_assemble_bound_report():
-    r = r_term(2, 100.0, 0.01)
-    rep = bnd.assemble_bound_report(0.1, r, k=2)
-    assert rep.value == pytest.approx(0.1 + 4 * r.value)
-    assert rep.form == "r-form"
-    assert rep.provenance["r"] == "quadrature"
-    mp = gilbert_moments(2, 100.0, 0.01)
-    rep2 = bnd.assemble_bound_report(0.1, r, k=2, moments=mp)
-    assert rep2.form == "moment-form"
-    assert rep2.value <= rep.value + 1e-12
-    with pytest.raises(ValueError):
-        bnd.BoundReport(-0.1, 0.0, None, 0.0, 0.0, "r-form", {})
-
-
 def test_bounds_monotone_in_inputs():
     base = thm_main_bound(0.1, 0.05, k=2)
     assert thm_main_bound(0.2, 0.05, k=2) >= base

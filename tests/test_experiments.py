@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import parse_csv, parse_json
-from pplab import cli, metrics, reporting, scenarios
+from pplab import cli, metrics, reporting, scenarios, transform
+from pplab.rng import _threads, derive_rng, replicate
 from pplab.scenarios import ResultRow, ScenarioConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -234,35 +235,69 @@ def test_run_determinism_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_worker_pool_matches_serial(monkeypatch):
-    cfg = ScenarioConfig(
-        scenario="gilbert-edges", d=2, t_grid=(15.0,), reps=1000, seed=4
-    )
+def _scaled_uniform(scale, rng):
+    return scale * rng.random()
+
+
+def test_replicate_is_the_stream_comprehension(monkeypatch):
+    expected = [2.0 * derive_rng(11, 5, i).random() for i in range(13)]
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    assert replicate(_scaled_uniform, (2.0,), 13, 11, 5) == expected
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    assert replicate(_scaled_uniform, (2.0,), 13, 11, 5) == expected
+    assert replicate(_scaled_uniform, (2.0,), 1, 11, 5) == expected[:1]
+
+
+# every scenario that replicates through rng.replicate, at small sizes
+POOLED_CONFIGS = {
+    "gilbert-edges": dict(d=2, t_grid=(15.0,), reps=1000, seed=4),
+    "gilbert-lengths": dict(d=2, t_grid=(15.0,), reps=1000, seed=4,
+                            params={"cells": 16, "n_boot": 10}),
+    "distance-power": dict(d=2, t_grid=(15.0,), reps=1000, seed=4, params={"n_boot": 10}),
+    "polytope": dict(d=3, t_grid=(20.0,), reps=1000, seed=4),
+    "gilbert-midpoints": dict(d=2, t_grid=(20.0,), seed=4, params={"n_configs": 100}),
+    "flats": dict(d=3, t_grid=(20.0,), reps=20, seed=4, params={"constant_mc_samples": 200}),
+    "glauber-verify": dict(d=1, t_grid=(1.0,), reps=50, seed=4,
+                           params={"s_grid": [0.5, 1.0], "commutation_s": [0.5],
+                                   "commutation_reps": 4}),
+    "mecke-verify": dict(d=2, t_grid=(10.0,), reps=50, seed=4, params={"n": 10}),
+    "kr-estimate": dict(d=2, t_grid=(3.0,), seed=4, params={"n_configs": 100}),
+}
+
+
+@pytest.mark.parametrize("scenario", POOLED_CONFIGS)
+def test_worker_pool_matches_serial(monkeypatch, scenario):
+    cfg = ScenarioConfig(scenario=scenario, **POOLED_CONFIGS[scenario])
     monkeypatch.delenv("PPLAB_THREADS", raising=False)
     serial = scenarios.run(cfg)
-    monkeypatch.setenv("PPLAB_THREADS", "3")
+    monkeypatch.setenv("PPLAB_THREADS", "2")
     pooled = scenarios.run(cfg)
-    assert serial.rows[0].distance == pooled.rows[0].distance
-    assert serial.rows[0].stderr == pooled.rows[0].stderr
+    assert pooled.rows == serial.rows
+    assert json.dumps(pooled.summary, default=str) == json.dumps(serial.summary, default=str)
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_threads_rejects_bad_value(monkeypatch, value):
     monkeypatch.setenv("PPLAB_THREADS", value)
     with pytest.raises(ValueError, match=f"PPLAB_THREADS.*'{value}'"):
-        scenarios._threads()
-    # also a scenario that never fans out
-    cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 5})
+        _threads()
+    # scenarios.run checks it up front, so a bad value fails even a run that
+    # draws no per-replication stream
+    cfg = ScenarioConfig(
+        scenario="kr-estimate", t_grid=(5.0,), params={"mode": "poisson-counts", "n_configs": 5}
+    )
     with pytest.raises(ValueError, match="PPLAB_THREADS"):
         scenarios.run(cfg)
     monkeypatch.delenv("PPLAB_THREADS")
-    assert scenarios._threads() == 1
+    assert _threads() == 1
 
 
 def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
     # a = 10 puts about 80 midpoints into a configuration at t = 50; each
     # replication keeps all of its atoms, with no cap
-    mids = scenarios._midpoint_config_chunk((2, 50.0, 50.0 ** -0.5), 3, 0, 100)
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    args = (2, 50.0, transform.pair_midpoints, (50.0 ** -0.5,))
+    mids = replicate(scenarios._cube_stat, args, 100, 3)
     assert max(len(m) for m in mids) > 64
     cfg = ScenarioConfig(
         scenario="gilbert-midpoints",
@@ -271,7 +306,6 @@ def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
         seed=3,
         params={"a": 10.0, "n_configs": 100},
     )
-    monkeypatch.delenv("PPLAB_THREADS", raising=False)
     rows = scenarios.run(cfg).rows
     assert [r.distance_name for r in rows] == ["kr-surrogate", "kr-noise-floor"]
     # the ragged per-replication arrays cross the process pool unchanged
@@ -307,6 +341,26 @@ def test_cli_usage_error_is_exit_1(tmp_path):
     assert proc2.returncode == 1
     assert "usage:" in proc2.stderr
     assert "invalid choice" in proc2.stderr
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "gilbert-edges", "t_grid": 5},
+        42,
+        {"scenario": "gilbert-edges", "params": [1]},
+        {"scenario": "gilbert-edges", "t_grid": ["a"]},
+        {"scenario": "gilbert-edges", "reps": [1000]},
+    ],
+    ids=["scalar-grid", "bare-value", "list-params", "string-grid", "list-reps"],
+)
+def test_cli_run_rejects_malformed_config(tmp_path, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    proc = _run_cli("run", "--config", str(cfg_path), cwd=str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_list_scenarios():
@@ -395,7 +449,6 @@ def test_rate_sanity_slope_to_800():
 
 def test_vectorized_line_pair_formulas_match_lstsq():
     from oracles import AffineFlat, flat_distance_midpoint
-    from pplab.rng import derive_rng
     from pplab.sampling import sample_poisson_flats
 
     frames = sample_poisson_flats(3, 1, 4.0, 1.0, derive_rng(99))
@@ -449,7 +502,6 @@ def _line_frames(*lines):
 
 
 def test_pruned_line_pair_count_matches_all_pairs():
-    from pplab.rng import derive_rng
     from pplab.sampling import sample_poisson_flats
 
     t, ball_radius = 100.0, 0.6

@@ -18,8 +18,6 @@ PAPER_IDENTITIES = {
     "flats_constant_via_grassmannian": "test_bounds.py::test_flats_constant_positive_and_identity",
     "sample_binomial": "test_point_process.py::test_binomial_matches_conditioned_poisson",
     "steiner_volume": "test_geometry.py::test_steiner_cube_d3_monte_carlo_value",
-    # the per-term bound breakdown that row provenance is to be built on
-    "assemble_bound_report": "test_bounds.py::test_assemble_bound_report",
 }
 
 

@@ -1,0 +1,105 @@
+"""Replication i of a Monte Carlo draws from the stream derived from
+(seed, stream ids, i), and ``rng.replicate`` is the one place that builds
+those addresses and fans them out over the process pool.  A loop over
+``range(...)`` anywhere else in the package that hands its loop variable to
+``derive_rng`` is a second copy of that contract, and fails here.  Loops
+over an intensity or horizon grid that derive one stream per grid point
+are not replication loops and are not flagged.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "pplab").glob("*.py"))
+
+# "module.function" -> why its loop keeps its own streams
+ALLOWED = {
+    # two streams per replication (2i and 2i + 1), and the functionals it
+    # evaluates are lambdas, which a process pool cannot pickle
+    "glauber.commutation_check": "coupled pair of streams per replication",
+}
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _calls_range(node) -> bool:
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "range"
+        for n in ast.walk(node)
+    )
+
+
+def _derives_from(nodes, loop_vars: set[str]) -> bool:
+    for node in nodes:
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "derive_rng" and any(_names(a) & loop_vars for a in call.args):
+                return True
+    return False
+
+
+def _replication_loops(tree) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every range loop whose variable feeds derive_rng."""
+    hits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.For) and _calls_range(node.iter):
+            if _derives_from(node.body, _names(node.target)):
+                hits.append((func, node.lineno))
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            loop_vars = {v for gen in node.generators if _calls_range(gen.iter)
+                         for v in _names(gen.target)}
+            elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            if loop_vars and _derives_from(elts, loop_vars):
+                hits.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return hits
+
+
+def stray_replication_loops(paths=PACKAGE) -> list[str]:
+    return [
+        f"{path.stem}.{func}:{line}"
+        for path in paths
+        if path.name != "rng.py"
+        for func, line in _replication_loops(ast.parse(path.read_text()))
+        if f"{path.stem}.{func}" not in ALLOWED
+    ]
+
+
+def test_replication_streams_only_in_rng_replicate():
+    stray = stray_replication_loops()
+    assert not stray, f"loops that derive per-replication streams outside rng.replicate: {stray}"
+
+
+def test_allowed_loops_still_exist():
+    found = {
+        f"{path.stem}.{func}"
+        for path in PACKAGE
+        for func, _ in _replication_loops(ast.parse(path.read_text()))
+    }
+    assert set(ALLOWED) <= found, "an allow-listed loop is gone; drop it from ALLOWED"
+
+
+def test_guard_flags_a_hand_written_loop(tmp_path):
+    src = tmp_path / "scenarios.py"
+    src.write_text(
+        "def run(seed, reps):\n"
+        "    out = []\n"
+        "    for i in range(reps):\n"
+        "        out.append(derive_rng(seed, 3, i).random())\n"
+        "    return out + [derive_rng(seed, j) for j in range(reps)]\n"
+        "def grid(seed, ts):\n"
+        "    return [derive_rng(seed, 9, idx) for idx, _ in enumerate(ts)]\n"
+    )
+    assert stray_replication_loops([src]) == ["scenarios.run:3", "scenarios.run:5"]
