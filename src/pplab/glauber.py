@@ -1,9 +1,16 @@
 """Spatial birth-death dynamics whose invariant law is a finite-intensity
-Poisson process, and the checks the ``glauber-verify`` scenario runs on it.
+Poisson process on the line, and the checks the ``glauber-verify`` scenario
+runs on it.
+
+Every kernel here is a block sampler for `rng.replicate_blocks`: it draws
+``size`` independent replications from one generator, one array draw per
+variate, and returns per-replication counts.  A run is observed through two
+counts, the survivor total and the survivors in a window ``[lo, hi]``,
+which is all the scenario's functionals read.
 
 Two simulators are provided on purpose: the event-driven construction
 (births at the intensity's total rate, unit per-particle death rate) and
-the closed-form one-step law (thin the start, superpose an independent
+the closed-form time-s law (thin the start, superpose an independent
 Poisson sample).  Each serves as the other's oracle.  On top of them,
 ``commutation_check`` compares the gradient of the evolved functional with
 the evolved gradient, and ``ergodicity_check`` follows the count law to
@@ -16,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration
 from .geometry import Domain
-from .rng import derive_rng, replicate
+from .rng import replicate_blocks
 
 
 @dataclass(frozen=True)
@@ -26,8 +32,7 @@ class TargetIntensity:
     """Finite target intensity: total mass plus a normalized location sampler."""
 
     mass: float
-    sampler: callable  # (rng, n) -> (n, d) array or (n,) array
-    space: str = ""
+    sampler: callable  # (rng, n) -> (n,) or (n, 1) array of locations on the line
 
     def __post_init__(self):
         if not (self.mass > 0 and np.isfinite(self.mass)):
@@ -35,162 +40,153 @@ class TargetIntensity:
 
     @classmethod
     def from_domain(cls, domain: Domain, scale: float = 1.0) -> "TargetIntensity":
-        return cls(
-            mass=scale * domain.mass,
-            sampler=domain.sample,
-            space=domain.space_tag,
-        )
+        return cls(mass=scale * domain.mass, sampler=domain.sample)
 
 
-def _sample_locations(target: TargetIntensity, rng, n: int) -> list:
-    if n == 0:
-        return []
-    pts = np.asarray(target.sampler(rng, n))
-    if pts.ndim == 2 and pts.shape[1] == 1:
-        pts = pts[:, 0]
-    if pts.ndim == 1:
-        return [float(v) for v in pts]
-    return [row for row in pts]
+def _inside(locs: np.ndarray, window) -> np.ndarray:
+    lo, hi = window
+    return (lo <= locs) & (locs <= hi)
 
 
-def simulate_event_driven(
-    omega: Configuration,
-    target: TargetIntensity,
-    s: float,
-    rng: np.random.Generator,
-) -> Configuration:
-    """State of the birth-death process at time s started from omega.
+def _observe(start_kept: np.ndarray, start: np.ndarray, new_owner: np.ndarray, new_locs: np.ndarray,
+             window, size: int) -> np.ndarray:
+    """(size, 2) survivor total and window count per replication, from the
+    kept start atoms (a (size, len(start)) count array) and the new atoms
+    with the replication each belongs to."""
+    total = start_kept.sum(axis=1) + np.bincount(new_owner, minlength=size)
+    inside = (start_kept[:, _inside(start, window)].sum(axis=1)
+              + np.bincount(new_owner[_inside(new_locs, window)], minlength=size))
+    return np.column_stack((total, inside))
 
-    Births arrive as a homogeneous Poisson process of rate mass on [0, s]
-    and are placed by the location sampler; every particle, initial or
-    born, carries an independent unit-rate exponential lifetime.
-    Returns the surviving configuration.
-    """
+
+def _locations(target: TargetIntensity, rng, n: int) -> np.ndarray:
+    return np.asarray(target.sampler(rng, n), dtype=float).reshape(n)
+
+
+def _event_driven_survivors(n_initial: int, mass: float, s: float, rng, size: int):
+    """One event-driven run per replication, counts only: whether each
+    initial atom outlives s, a (size, n_initial) bool array, and the
+    replication of every birth that is alive at s."""
     if s < 0:
         raise ValueError("horizon must be nonnegative")
-    if s == 0:
-        return omega.copy()
-    final = Configuration(space=omega.space or target.space)
-
-    initial_pts = omega.points()
-    init_lifetimes = rng.exponential(size=len(initial_pts))
-    n_births = rng.poisson(target.mass * s)
-    birth_times = np.sort(rng.uniform(0.0, s, size=n_births))
-    birth_locs = _sample_locations(target, rng, n_births)
-    birth_lifetimes = rng.exponential(size=n_births)
-
-    for p, life in zip(initial_pts, init_lifetimes):
-        if life >= s:
-            final.add(p)
-    for t_b, loc, life in zip(birth_times, birth_locs, birth_lifetimes):
-        if t_b + life >= s:
-            final.add(loc)
-    return final
+    initial = rng.exponential(size=(size, n_initial)) >= s
+    births = rng.poisson(mass * s, size=size)
+    n = int(births.sum())
+    ends = rng.uniform(0.0, s, size=n)
+    ends += rng.exponential(size=n)
+    # births are laid out replication by replication; only the survivors'
+    # replications are looked up, so no per-birth index array is built
+    return initial, np.searchsorted(np.cumsum(births), np.flatnonzero(ends >= s), side="right")
 
 
-def simulate_exact_law(
-    omega: Configuration,
-    target: TargetIntensity,
-    s: float,
-    rng: np.random.Generator,
-) -> Configuration:
-    """Sample the time-s law directly: keep each initial atom with
-    probability e^(-s) and superpose a Poisson((1 - e^(-s)) * intensity)
-    sample."""
+def survivor_count_event_driven(n_initial: int, mass: float, s: float, rng, size: int) -> np.ndarray:
+    """Population size at time s of ``size`` event-driven runs from
+    ``n_initial`` atoms."""
+    initial, born = _event_driven_survivors(n_initial, mass, s, rng, size)
+    return initial.sum(axis=1) + np.bincount(born, minlength=size)
+
+
+def simulate_event_driven(start, target: TargetIntensity, s: float, window, rng, size: int) -> np.ndarray:
+    """Survivor total and window count at time s of ``size`` runs started
+    from the atoms ``start``, as a (size, 2) array.
+
+    Births arrive as a homogeneous Poisson process of rate mass on [0, s];
+    every particle, initial or born, carries an independent unit-rate
+    exponential lifetime.  The births alive at s are then placed by the
+    location sampler (placement is independent of survival).
+    """
+    start = np.asarray(start, dtype=float)
+    initial, born = _event_driven_survivors(len(start), target.mass, s, rng, size)
+    return _observe(initial, start, born, _locations(target, rng, len(born)), window, size)
+
+
+def simulate_exact_law(start, target: TargetIntensity, s: float, window, rng, size: int) -> np.ndarray:
+    """The time-s law sampled directly, in the layout of
+    ``simulate_event_driven``: keep each start atom with probability e^(-s)
+    (binomial thinning of each location's multiplicity) and superpose a
+    Poisson((1 - e^(-s)) * intensity) sample."""
     if s < 0:
         raise ValueError("horizon must be nonnegative")
     keep_p = np.exp(-s)
-    out = Configuration(space=omega.space or target.space)
-    for loc, mult in omega.atoms.items():
-        kept = rng.binomial(mult, keep_p)
-        if kept:
-            out.add(loc, kept)
-    n_new = rng.poisson((1.0 - keep_p) * target.mass)
-    for loc in _sample_locations(target, rng, n_new):
-        out.add(loc)
-    return out
+    locs, mult = np.unique(np.asarray(start, dtype=float), return_counts=True)
+    kept = rng.binomial(mult, keep_p, size=(size, len(mult)))
+    n_new = rng.poisson((1.0 - keep_p) * target.mass, size=size)
+    new_locs = _locations(target, rng, int(n_new.sum()))
+    return _observe(kept, locs, np.repeat(np.arange(size), n_new), new_locs, window, size)
 
 
-def survivor_count_event_driven(
-    n_initial: int, mass: float, s: float, rng: np.random.Generator
-) -> int:
-    """Population size at time s of the event-driven run (counts only)."""
-    init = int((rng.exponential(size=n_initial) >= s).sum()) if n_initial else 0
-    n_births = rng.poisson(mass * s)
-    if n_births == 0:
-        return init
-    birth_times = rng.uniform(0.0, s, size=n_births)
-    lives = rng.exponential(size=n_births)
-    return init + int((birth_times + lives >= s).sum())
+# Functionals of a state observed as (survivor total, window count), for
+# ``commutation_check``; each is 1-Lipschitz in the added atom.
+
+def total_count(total: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    return total.astype(float)
 
 
-def commutation_check(
-    omega: Configuration,
-    y,
-    h,
-    target: TargetIntensity,
-    s: float,
-    reps: int,
-    rng_seed: int,
-) -> tuple[float, float, float]:
+def capped_window_count(total: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    return np.minimum(inside, 10).astype(float)
+
+
+def window_occupancy(total: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    return (inside >= 1).astype(float)
+
+
+def _gradient(phi, counts: np.ndarray, y_inside: int) -> np.ndarray:
+    """phi(state + atom at y) - phi(state), per replication."""
+    total, inside = counts[:, 0], counts[:, 1]
+    return phi(total + 1, inside + y_inside) - phi(total, inside)
+
+
+def _commutation_lhs(start, y, phi, target, s, window, rng, size) -> np.ndarray:
+    """Gradient of the evolved functional: the extra atom at y shares the
+    run and counts only while its own unit-rate lifetime lasts."""
+    counts = simulate_event_driven(start, target, s, window, rng, size)
+    extra_alive = rng.exponential(size=size) >= s
+    return np.where(extra_alive, _gradient(phi, counts, int(_inside(y, window))), 0.0)
+
+
+def _commutation_rhs(start, y, phi, target, s, window, rng, size) -> np.ndarray:
+    """Evolved gradient: e^(-s) times the added-atom increment at time s."""
+    counts = simulate_event_driven(start, target, s, window, rng, size)
+    return np.exp(-s) * _gradient(phi, counts, int(_inside(y, window)))
+
+
+def _mean_gap(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+    """(lhs mean, rhs mean, pooled standard error of their difference)."""
+    pooled = np.sqrt(lhs.var(ddof=1) / lhs.size + rhs.var(ddof=1) / rhs.size)
+    return float(lhs.mean()), float(rhs.mean()), float(pooled)
+
+
+def commutation_check(start, y: float, phi, target: TargetIntensity, s: float, window,
+                      reps: int, rng_seed: int) -> tuple[float, float, float]:
     """Compare the gradient of the evolved functional with the evolved gradient.
 
-    Left side: coupled runs sharing all randomness, the extra particle at y
-    carrying its own lifetime.  Right side: e^(-s) times the Monte Carlo
-    mean of the added-atom increment of h at time s.  Returns
-    (lhs, rhs, pooled standard error).
+    ``phi`` is one of the module's functionals.  The left side runs on
+    block stream (rng_seed, 0), the right side on (rng_seed, 1), ``reps``
+    replications each.  Returns (lhs, rhs, pooled standard error).
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications for a standard error, got {reps}")
-    if s == 0:
-        plus = omega.copy()
-        plus.add(y)
-        v = float(h(plus) - h(omega))
-        return v, v, 0.0
-    lhs_vals = np.empty(reps)
-    rhs_vals = np.empty(reps)
-    decay = np.exp(-s)
-    for i in range(reps):
-        rng = derive_rng(rng_seed, 2 * i)
-        g_s = simulate_event_driven(omega, target, s, rng)
-        extra_life = rng.exponential()
-        if extra_life >= s:
-            plus = g_s.copy()
-            plus.add(y)
-            lhs_vals[i] = h(plus) - h(g_s)
-        else:
-            lhs_vals[i] = 0.0
-
-        rng2 = derive_rng(rng_seed, 2 * i + 1)
-        g_ind = simulate_event_driven(omega, target, s, rng2)
-        plus2 = g_ind.copy()
-        plus2.add(y)
-        rhs_vals[i] = decay * (h(plus2) - h(g_ind))
-    pooled = float(
-        np.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
-    )
-    return float(lhs_vals.mean()), float(rhs_vals.mean()), pooled
+    args = (start, y, phi, target, s, window)
+    lhs = replicate_blocks(_commutation_lhs, args, reps, rng_seed, 0)
+    rhs = replicate_blocks(_commutation_rhs, args, reps, rng_seed, 1)
+    return _mean_gap(lhs, rhs)
 
 
-def ergodicity_check(
-    omega: Configuration,
-    target: TargetIntensity,
-    s_grid,
-    reps: int,
-    rng_seed: int,
-) -> list[tuple[float, float, np.ndarray]]:
+def ergodicity_check(n_initial: int, target: TargetIntensity, s_grid, reps: int,
+                     rng_seed: int) -> list[tuple[float, float, np.ndarray]]:
     """Per horizon s, (s, TV, counts): the total variation between the
-    empirical count law of the event-driven state and the Poisson(mass)
-    stationary count law, and the ``reps`` survivor counts it was measured on."""
+    empirical count law of the event-driven state started from
+    ``n_initial`` atoms and the Poisson(mass) stationary count law, and the
+    ``reps`` survivor counts it was measured on.  Horizon j draws from
+    block stream (rng_seed, j)."""
     from .metrics import tv_against_poisson
 
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("horizon grid must be strictly increasing")
-    n0 = omega.total()
     out = []
     for j, s in enumerate(s_grid):
-        args = (n0, target.mass, s)
-        counts = np.array(replicate(survivor_count_event_driven, args, reps, rng_seed, j))
+        args = (n_initial, target.mass, s)
+        counts = replicate_blocks(survivor_count_event_driven, args, reps, rng_seed, j)
         out.append((float(s), tv_against_poisson(counts, target.mass), counts))
     return out

@@ -2,12 +2,15 @@
 measure its distance to the analytic target, and set the measured value
 against the corresponding explicit bound.
 
-Every per-replication loop goes through `rng.replicate`: replication i of
-a statistic draws from the stream derived from (seed, stream ids, i), and
-the replications fan out over a process pool when PPLAB_THREADS asks for
-one, so results do not depend on the worker count.  Draws made once per
-grid point or per side (target samples, side-B configurations, bootstraps)
-stay sequential on their own single streams.
+Every replication loop goes through the block driver of `rng`: block b of
+a statistic draws from the stream derived from (seed, stream ids, b), and
+the blocks fan out over the one process pool that `run` opens when
+PPLAB_THREADS asks for one, so results do not depend on the worker count.
+`glauber-verify` draws in blocks of `rng.BLOCK` replications through
+`rng.replicate_blocks`; every other scenario uses blocks of one
+replication through `rng.replicate`.  Draws made once per grid point or
+per side (target samples, side-B configurations, bootstraps) stay
+sequential on their own single streams.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import metrics, sampling, transform
 from .configuration import Configuration
 from .geometry import Domain, unit_ball_volume
 from .laws import PoissonLaw
-from .rng import _threads, derive_rng, replicate
+from .rng import derive_rng, replicate, replicate_blocks, worker_pool
 
 # the params keys each runner reads; any other key is a configuration error
 _PARAMS = {
@@ -175,7 +178,7 @@ def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
 
 # ---------------------------------------------------------------------------
 # Per-replication statistics, one call per derived stream (top level so the
-# pool of ``rng.replicate`` can pickle them).
+# pool of the replication driver can pickle them).
 # ---------------------------------------------------------------------------
 
 
@@ -498,25 +501,20 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
     )
 
 
-def _total(simulate, omega, target, s, rng) -> int:
-    """Population size at time s; only this int, not the state, crosses the pool."""
-    return simulate(omega, target, s, rng).total()
-
-
 def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     mass = float(cfg.params.get("mass", 5.0))
     s_tv = float(cfg.params.get("s_tv", 1.0))
     s_grid = tuple(cfg.params.get("s_grid", (0.5, 1.0, 2.0, 4.0, 8.0)))
     commutation_s = tuple(cfg.params.get("commutation_s", (0.5, 1.0)))
     commutation_reps = int(cfg.params.get("commutation_reps", max(2, cfg.reps // 4)))
-    domain = Domain("cube", 1)
-    target = glb.TargetIntensity.from_domain(domain, scale=mass)
+    target = glb.TargetIntensity.from_domain(Domain("cube", 1), scale=mass)
+    omega0 = np.array([0.25, 0.5, 0.75])
+    window = (0.0, 0.3)
 
     # event-driven vs exact-law simulators, compared through their count laws
-    omega0 = Configuration.from_points([0.25, 0.5, 0.75], space=domain.space_tag)
-    sim = (omega0, target, s_tv)
-    ed = np.array(replicate(_total, (glb.simulate_event_driven, *sim), cfg.reps, cfg.seed, 1))
-    ex = np.array(replicate(_total, (glb.simulate_exact_law, *sim), cfg.reps, cfg.seed, 2))
+    sim = (omega0, target, s_tv, window)
+    ed = replicate_blocks(glb.simulate_event_driven, sim, cfg.reps, cfg.seed, 1)[:, 0]
+    ex = replicate_blocks(glb.simulate_exact_law, sim, cfg.reps, cfg.seed, 2)[:, 0]
     pa, pb = metrics.integer_pmfs(ed, ex)
     tv = metrics.tv_pmfs(pa, pb)
     # bootstrap error bars on the TV rows; the verdicts stay fixed-threshold
@@ -527,24 +525,22 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
              passed=tv < 0.02, d=1)
     ]
 
-    # commutation for three 1-Lipschitz functionals
+    # commutation for three 1-Lipschitz functionals of the (total, window) counts
     functionals = {
-        "count": lambda w: float(w.total()),
-        "capped-window-count": lambda w: float(min(w.count_interval(0.0, 0.3), 10)),
-        "occupancy": lambda w: float(w.count_interval(0.0, 0.3) >= 1),
+        "count": glb.total_count,
+        "capped-window-count": glb.capped_window_count,
+        "occupancy": glb.window_occupancy,
     }
     y_loc = 0.15
-    for f_idx, (name, h) in enumerate(functionals.items()):
+    for f_idx, (name, phi) in enumerate(functionals.items()):
         for s in commutation_s:
             lhs, rhs, pooled = glb.commutation_check(
-                omega0, y_loc, h, target, s, commutation_reps, cfg.seed + 101 + f_idx
+                omega0, y_loc, phi, target, s, window, commutation_reps, cfg.seed + 101 + f_idx
             )
             rows.append(_gap_row(cfg, s, f"commutation-{name}", lhs, rhs, pooled, d=1))
 
     # ergodicity from the empty configuration
-    table = glb.ergodicity_check(
-        Configuration(space=domain.space_tag), target, s_grid, cfg.reps, cfg.seed + 71
-    )
+    table = glb.ergodicity_check(0, target, s_grid, cfg.reps, cfg.seed + 71)
     tvs = [tv_s for _, tv_s, _ in table]
     monotone = all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
     for j, (s, tv_s, counts) in enumerate(table, start=1):
@@ -641,5 +637,7 @@ _RUNNERS = {
 def run(config: ScenarioConfig) -> RunResult:
     """Run one scenario; every row is reproducible from (config, seed)."""
     config.validate()
-    _threads()  # a bad PPLAB_THREADS fails every scenario, fanned out or not
-    return _RUNNERS[config.scenario](config)
+    # one pool serves every replication loop of the scenario; a bad
+    # PPLAB_THREADS fails here, fanned out or not
+    with worker_pool():
+        return _RUNNERS[config.scenario](config)

@@ -4,7 +4,9 @@ None of these is on a scenario path: each is the slow, direct form of
 something pplab computes another way (enumerated U-statistics for the pair
 kernels, a Monte Carlo for the quadrature moments, adaptive quadrature for
 the stored d = 2 pair-integral constants, a least-squares solver for the
-closed-form line-pair distances, readers for the emitted files).
+closed-form line-pair distances, per-replication ``Configuration``
+simulators and the exact time-s count law for the block samplers of
+``pplab.glauber``, readers for the emitted files).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import fsum, pi, sqrt
 
 import numpy as np
 from scipy import integrate
+from scipy.stats import binom, poisson
 
 from pplab.bounds import QUAD_ABS_TOL, MomentPair
 from pplab.configuration import Configuration
@@ -234,6 +237,64 @@ def flat_distance_midpoint(e: AffineFlat, f: AffineFlat) -> tuple[float, np.ndar
     if dist < GENERAL_POSITION_TOL * scale:
         raise ValueError("flats intersect (degenerate position)")
     return dist, (p_e + p_f) / 2.0
+
+
+# Birth-death dynamics on the line, one replication per generator, on
+# ``Configuration`` states: the direct forms of the block samplers in
+# ``pplab.glauber``, and the exact time-s count law both must follow.
+
+
+def _sample_locations(target, rng, n: int) -> list:
+    return [float(v) for v in np.asarray(target.sampler(rng, n), dtype=float).reshape(n)]
+
+
+def simulate_event_driven_config(omega: Configuration, target, s: float, rng) -> Configuration:
+    """State at time s started from omega: births at rate mass on [0, s],
+    placed by the location sampler, and a unit-rate exponential lifetime
+    for every particle."""
+    if s < 0:
+        raise ValueError("horizon must be nonnegative")
+    final = Configuration(space=omega.space)
+    initial_pts = omega.points()
+    init_lifetimes = rng.exponential(size=len(initial_pts))
+    n_births = rng.poisson(target.mass * s)
+    birth_times = np.sort(rng.uniform(0.0, s, size=n_births))
+    birth_locs = _sample_locations(target, rng, n_births)
+    birth_lifetimes = rng.exponential(size=n_births)
+    for p, life in zip(initial_pts, init_lifetimes):
+        if life >= s:
+            final.add(p)
+    for t_b, loc, life in zip(birth_times, birth_locs, birth_lifetimes):
+        if t_b + life >= s:
+            final.add(loc)
+    return final
+
+
+def simulate_exact_law_config(omega: Configuration, target, s: float, rng) -> Configuration:
+    """The time-s law sampled directly: keep each atom with probability
+    e^(-s), superpose a Poisson((1 - e^(-s)) * intensity) sample."""
+    if s < 0:
+        raise ValueError("horizon must be nonnegative")
+    keep_p = np.exp(-s)
+    out = Configuration(space=omega.space)
+    for loc, mult in omega.atoms.items():
+        kept = rng.binomial(mult, keep_p)
+        if kept:
+            out.add(loc, kept)
+    for loc in _sample_locations(target, rng, rng.poisson((1.0 - keep_p) * target.mass)):
+        out.add(loc)
+    return out
+
+
+def count_law_pmf(n0: int, mass: float, s: float, kmax: int) -> np.ndarray:
+    """pmf on 0..kmax of Binomial(n0, e^(-s)) convolved with
+    Poisson(mass (1 - e^(-s))): the time-s count of the dynamics started
+    from n0 atoms.  For the count in a window A, pass the start atoms in A
+    and the intensity mass of A."""
+    keep = np.exp(-s)
+    kept = binom.pmf(np.arange(n0 + 1), n0, keep)
+    born = poisson.pmf(np.arange(kmax + 1), mass * (1.0 - keep))
+    return np.convolve(kept, born)[: kmax + 1]
 
 
 _FLOAT_COLS = ("t", "distance", "stderr", "bound", "rate_pred")

@@ -276,6 +276,31 @@ def test_worker_pool_matches_serial(monkeypatch, scenario):
     assert json.dumps(pooled.summary, default=str) == json.dumps(serial.summary, default=str)
 
 
+@pytest.mark.parametrize("scenario", ["mecke-verify", "glauber-verify"])
+def test_one_worker_pool_per_run(monkeypatch, scenario):
+    # mecke-verify replicates once per case, glauber-verify once per
+    # simulator, commutation side and horizon; all share the pool that
+    # scenarios.run opens, and a serial run opens none
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    cfg = ScenarioConfig(scenario=scenario, **POOLED_CONFIGS[scenario])
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    serial = scenarios.run(cfg)
+    assert made == []
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    pooled = scenarios.run(cfg)
+    assert made == [2]
+    assert [repr(r) for r in pooled.rows] == [repr(r) for r in serial.rows]
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_threads_rejects_bad_value(monkeypatch, value):
     monkeypatch.setenv("PPLAB_THREADS", value)

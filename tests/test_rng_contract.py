@@ -1,24 +1,28 @@
-"""Replication i of a Monte Carlo draws from the stream derived from
-(seed, stream ids, i), and ``rng.replicate`` is the one place that builds
-those addresses and fans them out over the process pool.  A loop over
-``range(...)`` anywhere else in the package that hands its loop variable to
-``derive_rng`` is a second copy of that contract, and fails here.  Loops
-over an intensity or horizon grid that derive one stream per grid point
-are not replication loops and are not flagged.
+"""Block b of a Monte Carlo draws from the stream derived from
+(seed, stream ids, b), where a block is one replication for
+``rng.replicate`` and ``rng.BLOCK`` replications for
+``rng.replicate_blocks``; the driver behind both is the one place that
+builds those addresses and fans them out over the process pool.  A loop
+over ``range(...)`` anywhere else in the package that hands its loop
+variable to ``derive_rng`` is a second copy of that contract, and fails
+here.  Loops over an intensity or horizon grid that derive one stream per
+grid point are not replication loops and are not flagged.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
+from pplab import scenarios
+from pplab.rng import BLOCK, derive_rng, replicate_blocks
+from pplab.scenarios import ScenarioConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "pplab").glob("*.py"))
 
 # "module.function" -> why its loop keeps its own streams
-ALLOWED = {
-    # two streams per replication (2i and 2i + 1), and the functionals it
-    # evaluates are lambdas, which a process pool cannot pickle
-    "glauber.commutation_check": "coupled pair of streams per replication",
-}
+ALLOWED = {}
 
 
 def _names(node) -> set[str]:
@@ -103,3 +107,32 @@ def test_guard_flags_a_hand_written_loop(tmp_path):
         "    return [derive_rng(seed, 9, idx) for idx, _ in enumerate(ts)]\n"
     )
     assert stray_replication_loops([src]) == ["scenarios.run:3", "scenarios.run:5"]
+
+
+def _scaled_uniform_block(scale, rng, size):
+    return scale * rng.random(size)
+
+
+def test_block_driver_is_the_block_concatenation(monkeypatch):
+    # two full blocks and a partial one, each from its own block stream
+    reps = 2 * BLOCK + 17
+    sizes = [BLOCK, BLOCK, 17]
+    expected = np.concatenate(
+        [_scaled_uniform_block(2.0, derive_rng(11, 5, b), size) for b, size in enumerate(sizes)]
+    )
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    assert np.array_equal(replicate_blocks(_scaled_uniform_block, (2.0,), reps, 11, 5), expected)
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    assert np.array_equal(replicate_blocks(_scaled_uniform_block, (2.0,), reps, 11, 5), expected)
+    assert np.array_equal(replicate_blocks(_scaled_uniform_block, (2.0,), 5, 11, 5), expected[:5])
+
+
+def test_glauber_rows_identical_for_any_worker_count(monkeypatch):
+    reps = 2 * BLOCK + 17
+    cfg = ScenarioConfig(scenario="glauber-verify", d=1, t_grid=(1.0,), reps=reps, seed=9,
+                         params={"s_grid": [0.5, 8.0], "commutation_reps": reps})
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    serial = scenarios.run(cfg)
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    pooled = scenarios.run(cfg)
+    assert [repr(r) for r in pooled.rows] == [repr(r) for r in serial.rows]
