@@ -6,11 +6,14 @@ Every replication loop goes through the block driver of `rng`: block b of
 a statistic draws from the stream derived from (seed, stream ids, b), and
 the blocks fan out over the one process pool that `run` opens when
 PPLAB_THREADS asks for one, so results do not depend on the worker count.
-`glauber-verify` draws in blocks of `rng.BLOCK` replications through
-`rng.replicate_blocks`; every other scenario uses blocks of one
-replication through `rng.replicate`.  Draws made once per grid point or
-per side (target samples, side-B configurations, bootstraps) stay
-sequential on their own single streams.
+`glauber-verify` and the pair statistics of `gilbert-edges`,
+`gilbert-lengths`, `distance-power` and `polytope` draw in blocks of
+`rng.BLOCK` replications through `rng.replicate_blocks`: a pair-statistic
+block draws its point counts, then its points in runs of replications,
+and takes each run's statistics from one ragged `transform` call.  The
+other scenarios use blocks of one replication through `rng.replicate`.
+Draws made once per grid point or per side (target samples, side-B
+configurations, bootstraps) stay sequential on their own single streams.
 """
 
 from __future__ import annotations
@@ -177,9 +180,12 @@ def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
 
 
 # ---------------------------------------------------------------------------
-# Per-replication statistics, one call per derived stream (top level so the
-# pool of the replication driver can pickle them).
+# Per-replication and per-block statistics (top level so the pool of the
+# replication driver can pickle them).
 # ---------------------------------------------------------------------------
+
+# Points drawn at a time in a block; the draws do not depend on it.
+_RUN_POINTS = 16_384
 
 
 def _cube_stat(d, t, kernel, kernel_args, rng):
@@ -187,9 +193,44 @@ def _cube_stat(d, t, kernel, kernel_args, rng):
     return kernel(rng.uniform(size=(rng.poisson(t), d)), *kernel_args)
 
 
-def _reversed_diameter(sphere, t, scale, rng):
-    pts = sphere.sample(rng, rng.poisson(t))
-    return scale * (2.0 - transform.max_pair_distance(pts)) if len(pts) >= 2 else np.inf
+def _block_stat(domain, t, stat, stat_args, rng, size):
+    """stat(points, counts, *stat_args) for a block of ``size`` Poisson(t)
+    samples of ``domain``, one value per replication.
+
+    Draws all the point counts first, then the points of consecutive runs of
+    replications holding at most about ``_RUN_POINTS`` points, in order from
+    the one block generator; ``stat`` gets each run's points, grouped by
+    replication, and their counts.  Sequential draws from one generator are
+    the same bits as one whole-block draw, so the runs bound memory and
+    change no number.
+    """
+    counts = rng.poisson(t, size)
+    ends = np.cumsum(counts)
+    out, lo = [], 0
+    while lo < size:
+        start = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RUN_POINTS, side="right")))
+        out.append(stat(domain.sample(rng, int(ends[hi - 1] - start)), counts[lo:hi], *stat_args))
+        lo = hi
+    return np.concatenate(out)
+
+
+def _reversed_diameter_exceeds(points, counts, scale, a):
+    """Per replication of points on the unit sphere, whether
+    scale * (2 - diameter) > a; True below two points.
+
+    That fails iff some pair has scale * (2 - |x - y|) <= a.  Since
+    |x - y|^2 + |x + y|^2 = 4 for unit vectors, such a pair has
+    |x + y| <= sqrt(4 - (2 - a / scale)^2), so the candidates come from an
+    antipode search at that radius (plus 1e-12 under the root, far above
+    the rounding of |x| = 1 and of the distance), and each is decided by
+    the formula on its distance.
+    """
+    radius = sqrt(4.0 - (2.0 - a / scale) ** 2 + 1e-12)
+    rep, dist = transform.antipodal_pairs(points, counts, radius)
+    out = np.ones(len(counts), dtype=bool)
+    out[rep[scale * (2.0 - dist) <= a]] = False
+    return out
 
 
 def _flat_pair_midpoint_count(d, m, t, window_radius, ball_radius, eps, rng):
@@ -293,8 +334,8 @@ def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for t in cfg.t_grid:
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
-        args = (d, t, transform.pair_count_within, (theta,))
-        counts = np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
+        args = (Domain("cube", d), t, transform.pair_counts_within, (theta,))
+        counts = replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
         # the grid 0..K covers the sample and all but 1e-14 of the target's mass
         k = max(int(counts.max()), int(target.ppf(1 - 1e-14)) + 2)
         cdf = target.cdf(np.arange(k + 1))
@@ -331,8 +372,8 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for idx, t in enumerate(cfg.t_grid):
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
-        args = (d, t, transform.pair_sum_power, (b, theta))
-        stat = t ** (2.0 * b / d) * np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
+        args = (Domain("cube", d), t, transform.pair_sums_power, (b, theta))
+        stat = t ** (2.0 * b / d) * replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
         target = limits.edge_length.sample_many(
             derive_rng(cfg.seed, 555_001, idx), target_factor * cfg.reps
         )
@@ -378,8 +419,8 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
         rate = -2.0 / (3 * d + 2)
     rows = []
     for t in cfg.t_grid:
-        args = (d, t, transform.pair_sum_inverse_power, (tau,))
-        stat = t ** (-2.0 * tau / d) * np.array(replicate(_cube_stat, args, cfg.reps, cfg.seed))
+        args = (Domain("cube", d), t, transform.pair_sums_inverse_power, (tau,))
+        stat = t ** (-2.0 * tau / d) * replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
         dk = metrics.kolmogorov(stat, levy)
         se = _bootstrap_se(
             stat,
@@ -480,10 +521,9 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
     rows = []
     for t in cfg.t_grid:
         reps = reps_by_t.get(float(t), cfg.reps)
-        args = (Domain("sphere", d), t, t ** (4.0 / (d - 1)))
-        scaled = np.array(replicate(_reversed_diameter, args, reps, cfg.seed))
-        p_emp = float((scaled > a).mean())
-        _, _, tail = bnd.polytope_law(d, t, a)
+        _, _, tail = bnd.polytope_law(d, t, a)  # rejects a regime the antipode search cannot take
+        args = (Domain("sphere", d), t, _reversed_diameter_exceeds, (t ** (4.0 / (d - 1)), a))
+        p_emp = float(replicate_blocks(_block_stat, args, reps, cfg.seed).mean())
         gap = abs(p_emp - tail)
         se = sqrt(max(p_emp * (1 - p_emp), 1e-12) / reps)
         rows.append(_row(cfg, t, "scaled-reversed-diameter", "tail-abs-error", gap, se, None,

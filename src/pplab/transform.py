@@ -4,11 +4,14 @@ U-statistic scenarios.
 The measure-level ``induce`` enumerates unordered subsets of distinct
 points and is exact (integer multiplicities).  The ``pair_*`` helpers are
 vectorized fast paths for the two-point kernels used by the experiment
-scenarios.  Each has one production path: the cutoff kernels share a
-kd-tree pair query sorted into row-major order, and the no-cutoff kernels
-use ``pdist``.  Tests cross-check them against the enumeration oracles
-(pair kernels, U-statistic counts and sums) and, bit for bit, against a
-dense upper-triangle reference, all kept in ``tests/oracles.py``.
+scenarios, for one replication or for a ragged batch of replications
+(the plural names, which take the points of consecutive replications and
+their counts).  Each has one production path: the cutoff kernels and the
+near-antipode search share one sort-and-sweep fixed-radius pair search
+(``_pairs_within``) in row-major order, and the no-cutoff kernels use
+``pdist``.  Tests cross-check them against the enumeration oracles (pair
+kernels, U-statistic counts and sums) and, bit for bit, against a dense
+upper-triangle reference, all kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -85,38 +88,76 @@ def _as_points(points) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-def _pairs_within(pts: np.ndarray, cutoff: float):
-    """Index pairs i < j with |x_i - x_j| <= cutoff, in row-major order.
+def _pairs_within(pts: np.ndarray, counts, cutoff: float):
+    """Index pairs i < j of one replication with |x_i - x_j| <= cutoff.
 
-    Returns ``(i, j, dist)``.  The kd-tree query runs at a radius a hair
-    above the cutoff, and the pairs are then kept by the same
-    ``np.linalg.norm(...) <= cutoff`` test that ``induce`` applies, so a
-    pair at the cutoff up to rounding (a lattice, say) is decided as in
-    the oracle rather than by the tree's squared-distance comparison.
-    Row-major order makes the arrays, and any sum over them, equal bit
-    for bit to the dense upper-triangle enumeration.  A negative cutoff
-    admits no pair; a zero cutoff admits coincident points.
+    ``pts`` holds the points of consecutive replications, ``counts[r]`` of
+    them for replication r.  Returns ``(rep, i, j, dist)`` in row-major
+    ``(i, j)`` order, ``rep`` being each pair's replication.
+
+    The search sorts the key ``rep * span + x`` once, where ``span`` keeps
+    the key ranges of two replications further apart than the search
+    radius, and sweeps the shifts s = 1, 2, ... of the sorted keys while
+    some gap at shift s is within the radius: a hair above the cutoff plus
+    a few ulps of the largest key, for the rounding of the keys.  The
+    candidates pass a prefilter on the second coordinate and are then kept
+    by the same ``np.linalg.norm(...) <= cutoff`` test that ``induce``
+    applies, so a pair at the cutoff up to rounding (a lattice, say) is
+    decided as in the oracle.  Row-major order makes the arrays, and any
+    sum over them, equal bit for bit to the dense upper-triangle
+    enumeration.  A negative cutoff admits no pair; a zero cutoff admits
+    coincident points.
     """
-    if len(pts) < 2 or cutoff < 0:
+    n = len(pts)
+    rep = np.repeat(np.arange(len(counts)), counts)
+    if n < 2 or cutoff < 0:
         none = np.empty(0, dtype=np.intp)
-        return none, none, np.empty(0)
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(pts).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+        return none, none, none, np.empty(0)
+    reach = cutoff * (1.0 + 1e-9)
+    x = pts[:, 0]
+    lo = x.min()
+    width = x.max() - lo
+    # no two points are further apart in x than the width, so a cutoff
+    # beyond it (even an infinite one) sweeps at the width
+    sweep = min(reach, width)
+    span = width + 2.0 * sweep + 1.0
+    key = rep * span + (x - lo)
+    order = np.argsort(key)
+    # a start near at shift s - 1 is at most n - s, so one pad past the end
+    # covers its look-up at shift s
+    key = np.append(key[order], np.inf)
+    limit = sweep + 4.0 * np.spacing(key[-2])
+    starts = []
+    near = np.flatnonzero(np.diff(key) <= limit)
+    while len(near):
+        starts.append(near)
+        # a gap at the next shift is at least the gap at this one from the
+        # same start, so only these starts can still be near
+        near = near[key[near + len(starts) + 1] - key[near] <= limit]
+    first = np.concatenate([np.empty(0, dtype=np.intp)] + starts)
+    last = first + np.repeat(np.arange(1, len(starts) + 1), list(map(len, starts)))
+    if pts.shape[1] > 1:
+        second = pts[:, 1][order]
+        prefilter = np.abs(second[last] - second[first]) <= reach
+        first, last = first[prefilter], last[prefilter]
+    a, b = order[first], order[last]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    rowmajor = np.argsort(i * n + j)
+    i, j = i[rowmajor], j[rowmajor]
+    dist = np.linalg.norm(np.take(pts, i, axis=0) - np.take(pts, j, axis=0), axis=1)
     keep = dist <= cutoff
-    return i[keep], j[keep], dist[keep]
+    i, j = i[keep], j[keep]
+    return rep[i], i, j, dist[keep]
 
 
 def _pair_distances_within(points: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of unordered pairs with separation <= cutoff, row-major.
 
-    One kd-tree path at every size (``_pairs_within``); the dense pair
-    matrix survives only as the oracle in the tests.
+    The one-replication case of ``_pairs_within``; the dense pair matrix
+    survives only as the oracle in the tests.
     """
-    return _pairs_within(_as_points(points), cutoff)[2]
+    pts = _as_points(points)
+    return _pairs_within(pts, [len(pts)], cutoff)[3]
 
 
 def pair_count_within(points: np.ndarray, cutoff: float) -> int:
@@ -132,6 +173,54 @@ def pair_sum_power(points: np.ndarray, b: float, cutoff: float) -> float:
     if b == 0.0:
         return float(len(dist))
     return float(np.sum(dist**b))
+
+
+def pair_counts_within(points: np.ndarray, counts, cutoff: float) -> np.ndarray:
+    """``pair_count_within`` of each replication of a ragged batch.
+
+    ``points`` holds the points of consecutive replications, ``counts[r]``
+    of them for replication r.
+    """
+    rep = _pairs_within(_as_points(points), counts, cutoff)[0]
+    return np.bincount(rep, minlength=len(counts))
+
+
+def pair_sums_power(points: np.ndarray, counts, b: float, cutoff: float) -> np.ndarray:
+    """``pair_sum_power`` of each replication of a ragged batch.
+
+    Each sum runs in pair order, where ``pair_sum_power`` sums pairwise, so
+    the two can differ in the last digits.
+    """
+    rep, _, _, dist = _pairs_within(_as_points(points), counts, cutoff)
+    return np.bincount(rep, weights=dist**b, minlength=len(counts))
+
+
+def pair_sums_inverse_power(points: np.ndarray, counts, tau: float) -> np.ndarray:
+    """``pair_sum_inverse_power`` of each replication of a ragged batch."""
+    ends = np.cumsum(counts)
+    return np.array([pair_sum_inverse_power(points[e - c : e], tau) for c, e in zip(counts, ends)])
+
+
+def antipodal_pairs(points: np.ndarray, counts, radius: float):
+    """Pairs of one replication each within ``radius`` of the other's antipode.
+
+    For every i < j of a replication with |x_i + x_j| <= radius, returns its
+    replication and |x_i - x_j| as ``(rep, dist)``.  The pairs come from
+    ``_pairs_within`` run on each replication's points followed by their
+    negations, keeping the pairs of a point and another point's antipode.
+    """
+    pts = _as_points(points)
+    n = len(pts)
+    rep = np.repeat(np.arange(len(counts)), counts)
+    # stacked index k < n is point k, k >= n the antipode of point k - n
+    stacked = np.argsort(np.concatenate([rep, rep]), kind="stable")
+    _, a, b, _ = _pairs_within(np.take(np.concatenate([pts, -pts]), stacked, axis=0), 2 * np.asarray(counts), radius)
+    a, b = stacked[a], stacked[b]
+    point, antipode = np.minimum(a, b), np.maximum(a, b) - n
+    # each pair shows up once per point; keep it at its lower index
+    keep = (point < n) & (antipode >= 0) & (point < antipode)
+    i, j = point[keep], antipode[keep]
+    return rep[i], np.linalg.norm(pts[i] - pts[j], axis=1)
 
 
 def pair_sum_inverse_power(points: np.ndarray, tau: float) -> float:
@@ -152,7 +241,7 @@ def pair_sum_inverse_power(points: np.ndarray, tau: float) -> float:
 def pair_midpoints(points: np.ndarray, cutoff: float) -> np.ndarray:
     """Midpoints of unordered pairs within the cutoff, shape (count, d)."""
     pts = _as_points(points)
-    i, j, _ = _pairs_within(pts, cutoff)
+    _, i, j, _ = _pairs_within(pts, [len(pts)], cutoff)
     return (pts[i] + pts[j]) / 2.0
 
 

@@ -248,7 +248,7 @@ def test_replicate_is_the_stream_comprehension(monkeypatch):
     assert replicate(_scaled_uniform, (2.0,), 1, 11, 5) == expected[:1]
 
 
-# every scenario that replicates through rng.replicate, at small sizes
+# every scenario, at small sizes, through the replication driver
 POOLED_CONFIGS = {
     "gilbert-edges": dict(d=2, t_grid=(15.0,), reps=1000, seed=4),
     "gilbert-lengths": dict(d=2, t_grid=(15.0,), reps=1000, seed=4,

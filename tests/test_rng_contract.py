@@ -10,11 +10,14 @@ grid point are not replication loops and are not flagged.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pplab import scenarios
+from pplab.geometry import Domain
 from pplab.rng import BLOCK, derive_rng, replicate_blocks
 from pplab.scenarios import ScenarioConfig
 
@@ -136,3 +139,43 @@ def test_glauber_rows_identical_for_any_worker_count(monkeypatch):
     monkeypatch.setenv("PPLAB_THREADS", "2")
     pooled = scenarios.run(cfg)
     assert [repr(r) for r in pooled.rows] == [repr(r) for r in serial.rows]
+
+
+@pytest.mark.parametrize("domain", [Domain("cube", 2), Domain("sphere", 3)], ids=["uniform", "standard_normal"])
+def test_block_points_in_runs_equal_one_whole_draw(domain):
+    # a block draws its counts, then its points run by run from the same
+    # generator; that is the same bits as one whole-block draw
+    runs = []
+
+    def keep_run(pts, counts):
+        runs.append((counts, pts))
+        return np.zeros(len(counts))
+
+    assert len(scenarios._block_stat(domain, 100.0, keep_run, (), derive_rng(17, 0), BLOCK)) == BLOCK
+    assert len(runs) > 10
+    rng = derive_rng(17, 0)
+    counts = rng.poisson(100.0, BLOCK)
+    assert np.array_equal(np.concatenate([c for c, _ in runs]), counts)
+    assert np.array_equal(np.concatenate([p for _, p in runs]), domain.sample(rng, counts.sum()))
+    assert all(len(p) == c.sum() for c, p in runs)
+
+
+# the scenarios that draw through rng.replicate_blocks, at small sizes
+BLOCK_CONFIGS = {
+    "gilbert-edges": dict(d=2, t_grid=(15.0,)),
+    "gilbert-lengths": dict(d=2, t_grid=(15.0,), params={"cells": 16, "n_boot": 10, "target_factor": 1}),
+    "distance-power": dict(d=2, t_grid=(15.0,), params={"n_boot": 10}),
+    "polytope": dict(d=3, t_grid=(20.0,)),
+}
+
+
+@pytest.mark.parametrize("scenario", BLOCK_CONFIGS)
+def test_block_scenario_rows_identical_for_any_worker_count(monkeypatch, scenario):
+    # two full blocks and a partial one, so the pool splits across blocks
+    cfg = ScenarioConfig(scenario=scenario, reps=2 * BLOCK + 17, seed=9, **BLOCK_CONFIGS[scenario])
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    serial = scenarios.run(cfg)
+    monkeypatch.setenv("PPLAB_THREADS", "2")
+    pooled = scenarios.run(cfg)
+    assert [repr(r) for r in pooled.rows] == [repr(r) for r in serial.rows]
+    assert json.dumps(pooled.summary, default=str) == json.dumps(serial.summary, default=str)

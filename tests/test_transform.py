@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from oracles import (
     distance_kernel,
@@ -15,10 +16,12 @@ from oracles import (
     u_statistic_sum,
 )
 from pplab.configuration import Configuration
-from pplab.rng import derive_rng
+from pplab.rng import BLOCK, derive_rng
 from pplab.transform import (
     SymmetricKernel,
     _pair_distances_within,
+    _pairs_within,
+    antipodal_pairs,
     identity_kernel,
     induce,
     max_pair_distance,
@@ -222,3 +225,94 @@ def test_zero_cutoff_counts_coincident_points():
     # the no-cutoff kernel skips the coincident pairs instead
     far = np.linalg.norm(pts[1] - pts[0])
     assert pair_sum_inverse_power(pts, 2.0) == 3 * far**-2.0
+
+
+def _ragged_dense_pairs(pts, counts, cutoff):
+    """Dense reference for a ragged batch: each replication's dense pairs,
+    offset to its slice, in replication order (which is row-major)."""
+    reps, iu, ju, dist = ([np.empty(0, dtype=int)] for _ in range(4))
+    start = 0
+    for r, c in enumerate(counts):
+        i, j, dd = _dense_pairs(pts[start : start + c], cutoff)
+        reps.append(np.full(len(dd), r))
+        iu.append(i + start)
+        ju.append(j + start)
+        dist.append(dd)
+        start += c
+    return tuple(np.concatenate(a) for a in (reps, iu, ju, dist))
+
+
+def _assert_ragged_matches_dense(pts, counts, cutoff):
+    got = _pairs_within(pts, counts, cutoff)
+    want = _ragged_dense_pairs(pts, counts, cutoff)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return len(want[3])
+
+
+def test_ragged_pairs_equal_dense_per_replication():
+    rng = derive_rng(12)
+    for d in (1, 2, 3):
+        # empty and one-point replications between fuller ones
+        counts = np.array([0, 1, 30, 0, 0, 2, 1, 45, 0, 17, 1])
+        pts = rng.uniform(size=(counts.sum(), d))
+        for cutoff in (0.0, 0.05, 0.3):
+            _assert_ragged_matches_dense(pts, counts, cutoff)
+        # a cutoff of at least sqrt(d) admits every pair of a replication
+        pairs = sum(c * (c - 1) // 2 for c in counts)
+        assert _assert_ragged_matches_dense(pts, counts, np.sqrt(d)) == pairs
+        assert _assert_ragged_matches_dense(pts, counts, np.inf) == pairs
+        assert _assert_ragged_matches_dense(pts, counts, -1.0) == 0
+    for counts in ([], [0], [1], [0, 0, 1]):
+        pts = rng.uniform(size=(sum(counts), 2))
+        assert _assert_ragged_matches_dense(pts, counts, 0.5) == 0
+
+
+def test_ragged_pairs_zero_cutoff_and_ties():
+    # coincident points in two replications, never paired across them
+    pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2]])
+    assert _assert_ragged_matches_dense(pts, [3, 3], 0.0) == 1 + 3
+    # the lattice of test_cutoff_ties_decided_like_dense_path, three times over
+    g = np.arange(20) * 0.1
+    lattice = np.array([(a, b) for a in g for b in g])
+    assert _assert_ragged_matches_dense(np.tile(lattice, (3, 1)), [400] * 3, 0.1 * np.sqrt(2)) == 3 * 1298
+
+
+def test_ragged_pairs_full_block_pair_at_cutoff_in_last_replication():
+    # the last replication of a full block has the largest keys, where their
+    # rounding is widest; a pair there at exactly the cutoff (a small one,
+    # below the key ulp times 1e9) must still be found
+    rng = derive_rng(13)
+    counts = rng.poisson(3, BLOCK)
+    counts[-1] = 2
+    pts = rng.uniform(size=(counts.sum(), 2))
+    for x in (0.123456789, 0.5, 0.987654321):
+        pts[-2:] = [[x, 0.3], [x + 1e-4, 0.3]]
+        cutoff = float(np.linalg.norm(pts[-2] - pts[-1]))
+        rep, i, j, dist = _pairs_within(pts, counts, cutoff)
+        assert (rep[-1], i[-1], j[-1], dist[-1]) == (BLOCK - 1, len(pts) - 2, len(pts) - 1, cutoff)
+        _assert_ragged_matches_dense(pts, counts, cutoff)
+
+
+def test_antipodal_pairs_match_brute_force():
+    rng = derive_rng(14)
+    counts = np.array([0, 1, 2, 60, 0, 45, 30])
+    g = rng.standard_normal((counts.sum(), 3))
+    pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+    pts[3] = -pts[4]  # an exact antipodal pair
+    for radius in (0.05, 0.3, 1.0):
+        want_rep, want_dist = [], []
+        start = 0
+        for r, c in enumerate(counts):
+            p = pts[start : start + c]
+            iu, ju = np.triu_indices(c, k=1)
+            near = np.linalg.norm(p[iu] + p[ju], axis=1) <= radius
+            want_rep += [r] * int(near.sum())
+            want_dist += list(pdist(p)[near]) if c > 1 else []
+            start += c
+        rep, dist = antipodal_pairs(pts, counts, radius)
+        order = np.lexsort((dist, rep))
+        want = np.lexsort((want_dist, want_rep))
+        assert np.array_equal(rep[order], np.array(want_rep)[want])
+        assert np.array_equal(dist[order], np.array(want_dist)[want])
+        assert len(want_rep) > 0
