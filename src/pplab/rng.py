@@ -7,16 +7,16 @@ from (seed, stream ids, b).  There are two block sizes:
 
 - ``replicate`` is B = 1: replication i has its own stream
   (seed, stream ids, i) and ``fn(*args, rng)`` returns its one value.
-  ``gilbert-midpoints``, ``flats``, ``mecke-verify`` and ``kr-estimate``
-  draw this way.
+  ``gilbert-midpoints`` and ``kr-estimate`` draw this way.
 - ``replicate_blocks`` is B = ``BLOCK``: ``fn(*args, rng, size)`` draws a
   whole block with one array draw per variate and returns arrays whose
   first axis has length ``size``; the blocks are joined in index order.
   ``glauber-verify`` (both simulators, both commutation sides and the
-  ergodicity survivor counts) and the pair statistics of
-  ``gilbert-edges``, ``gilbert-lengths``, ``distance-power`` and
-  ``polytope`` draw this way.  A draw may be split into consecutive
-  pieces from the block's generator, which gives the same bits.
+  ergodicity survivor counts), the pair statistics of ``gilbert-edges``,
+  ``gilbert-lengths``, ``distance-power`` and ``polytope``, the flat-pair
+  counts of ``flats`` and both sides of every ``mecke-verify`` check draw
+  this way.  A draw may be split into consecutive pieces from the block's
+  generator, which gives the same bits.
 
 ``BLOCK`` is part of the contract, not a setting: changing it moves every
 number drawn through ``replicate_blocks``.

@@ -4,14 +4,34 @@ Monte Carlo checks of the moment identities for sums over distinct tuples.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
 from math import perm
 
 import numpy as np
 
 from .configuration import Configuration
 from .geometry import Domain, unit_ball_volume
-from .rng import replicate
+from .rng import replicate_blocks
+from .transform import _pairs_within, pair_counts_within
+
+
+# Points (or flats) drawn at a time in a block; the draws do not depend on it.
+_RUN_POINTS = 16_384
+
+
+def _runs(counts):
+    """``(lo, hi, start, stop)`` of the consecutive runs of a block whose
+    replications have ``counts`` items each: replications lo .. hi - 1 hold
+    items start .. stop - 1, at most about ``_RUN_POINTS`` of them (a run
+    holds at least one replication).  Drawing a block's items run by run
+    from its generator gives the same bits as one whole-block draw, in
+    bounded memory."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        start = int(ends[lo] - counts[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RUN_POINTS, side="right")))
+        yield lo, hi, start, int(ends[hi - 1])
+        lo = hi
 
 
 def sample_poisson(domain: Domain, t: float, rng: np.random.Generator) -> Configuration:
@@ -38,6 +58,32 @@ def flats_hitting_mass(d: int, m: int, t: float, window_radius: float) -> float:
     return t * unit_ball_volume(d - m) * window_radius ** (d - m)
 
 
+def sample_flats(d: int, m: int, radii: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``len(radii)`` independent m-flats in R^d, flat k at distance
+    ``radii[k]`` from the origin.
+
+    Returns an ``(n, m + 1, d)`` array: row 0 of each flat is its base point,
+    rows 1..m its orthonormal directions.  The flats' Gaussians are one
+    ``standard_normal((n, m + 1, d))`` draw.  Rows 1..m of a flat, as a
+    d x m matrix, give its directions by QR, which are Haar on the
+    Grassmannian.  Row 0 with the directions projected out is an isotropic
+    Gaussian in the orthogonal complement (the rows are independent), so
+    its direction, the base point's, is uniform on the complement's unit
+    sphere.
+    """
+    if not 1 <= m or not 2 * m < d:
+        raise ValueError("need 1 <= m < d/2")
+    gauss = rng.standard_normal((len(radii), m + 1, d))
+    q, _ = np.linalg.qr(gauss[:, 1:].swapaxes(1, 2))  # (n, d, m)
+    dirs = q.swapaxes(1, 2)
+    z = gauss[:, :1]
+    z = z - (z @ q) @ dirs
+    frames = np.empty_like(gauss)
+    frames[:, :1] = z * (radii[:, None, None] / np.sqrt(z @ z.swapaxes(1, 2)))
+    frames[:, 1:] = dirs
+    return frames
+
+
 def sample_poisson_flats(
     d: int,
     m: int,
@@ -47,69 +93,66 @@ def sample_poisson_flats(
 ) -> np.ndarray:
     """Poisson process of m-flats in R^d hitting the centered ball of given radius.
 
-    Returns an ``(n, m + 1, d)`` array: row 0 of each flat is its base point,
-    rows 1..m its orthonormal directions.  Directions are Haar on the
-    Grassmannian (QR of a Gaussian d x m matrix); given a direction, the
-    translation is uniform on the (d-m)-ball of the window radius inside the
-    orthogonal complement, which is exactly the hitting set of the window.
-
-    The draws stay per flat and in the order Gaussian frame, Gaussian
-    direction in the complement, uniform radius: the Gaussian sampler takes
-    a variable number of words per draw, so bulk draws would change the
-    stream.  The linear algebra is stacked over the flats and gives the same
-    bits as one flat at a time.
+    Returns the ``(n, m + 1, d)`` frames of ``sample_flats``.  Directions
+    are Haar on the Grassmannian; given them, the base point is uniform on
+    the (d-m)-ball of the window radius inside the orthogonal complement,
+    which is exactly the hitting set of the window.  Each variate is one
+    array draw, in the order flat count, base radii (R U^(1/(d-m))), then
+    the Gaussians of ``sample_flats``: a block of one replication of the
+    ``flats`` scenario.
     """
-    if not 1 <= m or not 2 * m < d:
-        raise ValueError("need 1 <= m < d/2")
     if t < 0:
         raise ValueError("intensity must be nonnegative")
     n = rng.poisson(flats_hitting_mass(d, m, t, window_radius))
-    dm = d - m
-    gauss = np.empty((n, d, m))
-    g = np.empty((n, 1, dm))
-    r = np.empty((n, 1, 1))
-    for k in range(n):
-        gauss[k] = rng.standard_normal((d, m))
-        g[k, 0] = rng.standard_normal(dm)
-        # a Python float power: the array power differs in the last ulp
-        r[k] = window_radius * rng.uniform() ** (1.0 / dm)
-    q, _ = np.linalg.qr(gauss)
-    dirs = q.swapaxes(1, 2)  # (n, m, d)
-    _, _, vt = np.linalg.svd(dirs, full_matrices=True)
-    comp = vt[:, m:]  # (n, d-m, d), orthonormal complement rows
-    # sqrt of the matmul self-product is bitwise the 1-D np.linalg.norm
-    g /= np.sqrt(g @ g.swapaxes(1, 2))
-    frames = np.empty((n, m + 1, d))
-    frames[:, :1] = (r * g) @ comp
-    frames[:, 1:] = dirs
-    return frames
+    return sample_flats(d, m, window_radius * rng.uniform(size=n) ** (1.0 / (d - m)), rng)
+
+
+def _ball_counts(points: np.ndarray, counts, radius: float) -> np.ndarray:
+    """For each point, the points of its replication within ``radius``, itself included."""
+    _, i, j, _ = _pairs_within(points, counts, radius)
+    n = len(points)
+    return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+
+
+def _tuple_ball_counts(y: np.ndarray, points: np.ndarray, counts, radius: float) -> np.ndarray:
+    """``(size, k)`` counts of mu_r + atoms at y[r] within ``radius`` of each
+    y[r, j], where mu_r is replication r's ``counts[r]`` points.
+
+    The ambient points are counted by repeating y over its replication's
+    points; the tuple's own atoms (y[r, j] itself among them) are added.
+    """
+    size, k = y.shape[:2]
+    rep = np.repeat(np.arange(size), counts)
+    r2 = radius * radius
+    own = y[:, :, None] - y[:, None]
+    out = (np.einsum("rijd,rijd->rij", own, own) <= r2).sum(axis=2)
+    for j in range(k):
+        diff = points - y[rep, j]
+        out[:, j] += np.bincount(rep[np.einsum("id,id->i", diff, diff) <= r2], minlength=size)
+    return out
 
 
 class MeckeTestFunction:
     """Bounded nonnegative test function g(y_1, ..., y_k, mu) for the
-    distinct-tuple moment identities.
+    distinct-tuple moment identities, evaluated on ragged batches.
 
-    ``tuple_value`` evaluates one tuple; ``config_sum``, when overridden,
-    returns the sum over all ORDERED distinct k-tuples of a point array in
-    one vectorized pass.  g must be symmetric in the tuple argument for the
-    vectorized path to be valid.
+    A batch holds the points of consecutive replications, ``counts[r]`` of
+    them for replication r, whose configuration mu_r they are.
+    ``block_sums(points, counts)`` returns, per replication, the sum of
+    g(x, mu_r) over the ORDERED distinct k-tuples x of mu_r's points.
+    ``block_values(y, points, counts)`` returns g(y[r], mu_r + atoms at
+    y[r]) for the ``(size, k, d)`` tuples y.  The one-tuple definitions are
+    the oracles in the tests.
     """
 
     k = 2
     bound = 1.0
 
-    def tuple_value(self, pts: np.ndarray, config_pts: np.ndarray) -> float:
+    def block_sums(self, points: np.ndarray, counts) -> np.ndarray:
         raise NotImplementedError
 
-    def config_sum(self, config_pts: np.ndarray) -> float:
-        n = len(config_pts)
-        if n < self.k:
-            return 0.0
-        total = 0.0
-        for idx in combinations(range(n), self.k):
-            for p in permutations(idx):
-                total += self.tuple_value(config_pts[list(p)], config_pts)
-        return total
+    def block_values(self, y: np.ndarray, points: np.ndarray, counts) -> np.ndarray:
+        raise NotImplementedError
 
 
 class ConstantG(MeckeTestFunction):
@@ -119,11 +162,13 @@ class ConstantG(MeckeTestFunction):
         self.k = k
         self.bound = 1.0
 
-    def tuple_value(self, pts, config_pts) -> float:
-        return 1.0
+    def block_sums(self, points, counts) -> np.ndarray:
+        # (n)_k, zero below k points since one factor is then zero
+        counts = np.asarray(counts)
+        return np.prod([counts - i for i in range(self.k)], axis=0).astype(float)
 
-    def config_sum(self, config_pts) -> float:
-        return float(perm(len(config_pts), self.k))
+    def block_values(self, y, points, counts) -> np.ndarray:
+        return np.ones(len(y))
 
 
 class PairProximityG(MeckeTestFunction):
@@ -135,17 +180,12 @@ class PairProximityG(MeckeTestFunction):
         self.radius = radius
         self.bound = 1.0
 
-    def tuple_value(self, pts, config_pts) -> float:
-        return float(np.linalg.norm(pts[0] - pts[1]) <= self.radius)
+    def block_sums(self, points, counts) -> np.ndarray:
+        return 2.0 * pair_counts_within(points, counts, self.radius)
 
-    def config_sum(self, config_pts) -> float:
-        n = len(config_pts)
-        if n < 2:
-            return 0.0
-        diff = config_pts[:, None, :] - config_pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = d2 <= self.radius**2
-        return float(within.sum() - n)  # drop the diagonal; ordered pairs
+    def block_values(self, y, points, counts) -> np.ndarray:
+        diff = y[:, 0] - y[:, 1]
+        return (np.einsum("rd,rd->r", diff, diff) <= self.radius**2).astype(float)
 
 
 class SingletonNeighborG(MeckeTestFunction):
@@ -158,21 +198,12 @@ class SingletonNeighborG(MeckeTestFunction):
         self.cap = cap
         self.bound = 1.0
 
-    def tuple_value(self, pts, config_pts) -> float:
-        center = np.atleast_2d(np.asarray(pts))[0]
-        if len(config_pts) == 0:
-            return 0.0
-        d2 = np.sum((config_pts - center) ** 2, axis=1)
-        return min(float((d2 <= self.radius**2).sum()), self.cap) / self.cap
+    def block_sums(self, points, counts) -> np.ndarray:
+        capped = np.minimum(_ball_counts(points, counts, self.radius), self.cap) / self.cap
+        return np.bincount(np.repeat(np.arange(len(counts)), counts), weights=capped, minlength=len(counts))
 
-    def config_sum(self, config_pts) -> float:
-        n = len(config_pts)
-        if n == 0:
-            return 0.0
-        diff = config_pts[:, None, :] - config_pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        counts = (d2 <= self.radius**2).sum(axis=1)
-        return float((np.minimum(counts, self.cap) / self.cap).sum())
+    def block_values(self, y, points, counts) -> np.ndarray:
+        return np.minimum(_tuple_ball_counts(y, points, counts, self.radius)[:, 0], self.cap) / self.cap
 
 
 class NeighborCountG(MeckeTestFunction):
@@ -190,43 +221,52 @@ class NeighborCountG(MeckeTestFunction):
         self.cap = cap
         self.bound = 1.0
 
-    def _ball_counts(self, centers: np.ndarray, config_pts: np.ndarray) -> np.ndarray:
-        if len(config_pts) == 0:
-            return np.zeros(len(centers))
-        diff = centers[:, None, :] - config_pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        return (d2 <= self.radius**2).sum(axis=1)
+    def block_sums(self, points, counts) -> np.ndarray:
+        """Per replication, sum over i != j of min(c_i + c_j, cap) / cap.
 
-    def tuple_value(self, pts, config_pts) -> float:
-        c = self._ball_counts(np.asarray(pts), config_pts)
-        return min(float(c[0] + c[1]), self.cap) / self.cap
+        That only depends on the capped ball counts a = min(c, cap), so with
+        h the histogram of a replication's a it is
+        sum_{a,b} h_a h_b min(a + b, cap) - sum_a h_a min(2a, cap), over cap.
+        """
+        size, cap = len(counts), self.cap
+        capped = np.minimum(_ball_counts(points, counts, self.radius), cap)
+        rep = np.repeat(np.arange(size), counts)
+        hist = np.bincount(rep * (cap + 1) + capped, minlength=size * (cap + 1)).reshape(size, cap + 1)
+        levels = np.arange(cap + 1)
+        pair_table = np.minimum(levels[:, None] + levels[None, :], cap)
+        sums = np.einsum("ra,ab,rb->r", hist, pair_table, hist) - hist @ np.minimum(2 * levels, cap)
+        return sums / cap
 
-    def config_sum(self, config_pts) -> float:
-        n = len(config_pts)
-        if n < 2:
-            return 0.0
-        counts = self._ball_counts(config_pts, config_pts)
-        pair_sums = counts[:, None] + counts[None, :]
-        vals = np.minimum(pair_sums, self.cap) / self.cap
-        return float(vals.sum() - np.minimum(2 * counts, self.cap).sum() / self.cap)
+    def block_values(self, y, points, counts) -> np.ndarray:
+        return np.minimum(_tuple_ball_counts(y, points, counts, self.radius).sum(axis=1), self.cap) / self.cap
 
 
-def _mecke_sides(domain, t, k, g, mode, n, tuple_weight, rng) -> tuple[float, float]:
-    """One replication of `mecke_check`: the left-side g-sum and the right-side term."""
+def _mecke_block(domain, t, k, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
+    """Both sides of ``mecke_check`` for a block of ``size`` replications:
+    ``(size, 2)`` rows of the left-side g-sum and the right-side term.
+
+    Draws, each as one array draw: the left side's point counts and points,
+    then the right side's ambient counts, tuples y and ambient points.  The
+    points are drawn and evaluated run by run (``_runs``).
+    """
     if mode == "poisson":
-        pts = domain.sample(rng, rng.poisson(t * domain.mass))
-        # fresh sample of the same law for the right side
-        ambient = domain.sample(rng, rng.poisson(t * domain.mass))
+        counts = rng.poisson(t * domain.mass, size)
     else:
-        pts = domain.sample(rng, n)
+        counts = np.full(size, n)
+    sums = np.concatenate([g.block_sums(domain.sample(rng, stop - start), counts[lo:hi])
+                           for lo, hi, start, stop in _runs(counts)])
+    if mode == "poisson":
+        # a fresh sample of the same law for the right side
+        ambient_counts = rng.poisson(t * domain.mass, size)
+    else:
         # the right side sees an (n - k)-point sample plus the added atoms
-        ambient = domain.sample(rng, n - k) if n >= k else domain.sample(rng, 0)
-    y = domain.sample(rng, k)
-    augmented = np.vstack([ambient, y]) if len(ambient) else y
-    val = g.tuple_value(y, augmented)
-    if val < 0 or val > g.bound + 1e-12:
+        ambient_counts = np.full(size, max(n - k, 0))
+    y = domain.sample(rng, size * k).reshape(size, k, -1)
+    val = np.concatenate([g.block_values(y[lo:hi], domain.sample(rng, stop - start), ambient_counts[lo:hi])
+                          for lo, hi, start, stop in _runs(ambient_counts)])
+    if np.any(val < 0) or np.any(val > g.bound + 1e-12):
         raise ValueError("test function left its declared bound")
-    return g.config_sum(pts), tuple_weight * val
+    return np.column_stack([sums, tuple_weight * val])
 
 
 def mecke_check(
@@ -235,7 +275,8 @@ def mecke_check(
     k: int,
     g: MeckeTestFunction,
     reps: int,
-    rng_seed: int,
+    seed: int,
+    *stream: int,
     mode: str = "poisson",
     n: int | None = None,
 ) -> tuple[float, float, float]:
@@ -246,7 +287,9 @@ def mecke_check(
     mass^k * g(y, sample + atoms at y) with y a fresh i.i.d. k-tuple from
     the normalized reference measure -- against the k-fold intensity for a
     Poisson sample, and with (n)_k times an (n-k)-point sample in the
-    binomial case.  Returns (lhs mean, rhs mean, pooled standard error).
+    binomial case.  The replications run in blocks of ``rng.BLOCK`` on the
+    streams (seed, *stream, b).  Returns (lhs mean, rhs mean, pooled
+    standard error).
     """
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
@@ -264,7 +307,7 @@ def mecke_check(
         tuple_weight = (t * domain.mass) ** k
 
     args = (domain, t, k, g, mode, n, tuple_weight)
-    lhs_vals, rhs_vals = np.array(replicate(_mecke_sides, args, reps, rng_seed)).T.copy()
+    lhs_vals, rhs_vals = replicate_blocks(_mecke_block, args, reps, seed, *stream).T
     lhs_mean = float(lhs_vals.mean())
     rhs_mean = float(rhs_vals.mean())
     pooled = float(

@@ -6,14 +6,18 @@ Every replication loop goes through the block driver of `rng`: block b of
 a statistic draws from the stream derived from (seed, stream ids, b), and
 the blocks fan out over the one process pool that `run` opens when
 PPLAB_THREADS asks for one, so results do not depend on the worker count.
-`glauber-verify` and the pair statistics of `gilbert-edges`,
-`gilbert-lengths`, `distance-power` and `polytope` draw in blocks of
-`rng.BLOCK` replications through `rng.replicate_blocks`: a pair-statistic
-block draws its point counts, then its points in runs of replications,
-and takes each run's statistics from one ragged `transform` call.  The
-other scenarios use blocks of one replication through `rng.replicate`.
-Draws made once per grid point or per side (target samples, side-B
-configurations, bootstraps) stay sequential on their own single streams.
+`glauber-verify`, the pair statistics of `gilbert-edges`,
+`gilbert-lengths`, `distance-power` and `polytope`, the flat-pair counts
+of `flats` and the `mecke-verify` checks draw in blocks of `rng.BLOCK`
+replications through `rng.replicate_blocks`: a pair-statistic block draws
+its point counts, then its points in runs of replications, and takes each
+run's statistics from one ragged `transform` call; a flats block draws its
+flat counts and base radii, then each run's flats.  `flats` grid point i
+draws from (seed, i, b) and `mecke-verify` check c from (seed, c, b).
+`gilbert-midpoints` and `kr-estimate` use blocks of one replication
+through `rng.replicate`.  Draws made once per grid point or per side
+(target samples, side-B configurations, bootstraps) stay sequential on
+their own single streams.
 """
 
 from __future__ import annotations
@@ -184,10 +188,6 @@ def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
 # replication driver can pickle them).
 # ---------------------------------------------------------------------------
 
-# Points drawn at a time in a block; the draws do not depend on it.
-_RUN_POINTS = 16_384
-
-
 def _cube_stat(d, t, kernel, kernel_args, rng):
     """kernel(pts, *kernel_args) on Poisson(t) uniform points of [0, 1]^d."""
     return kernel(rng.uniform(size=(rng.poisson(t), d)), *kernel_args)
@@ -197,22 +197,13 @@ def _block_stat(domain, t, stat, stat_args, rng, size):
     """stat(points, counts, *stat_args) for a block of ``size`` Poisson(t)
     samples of ``domain``, one value per replication.
 
-    Draws all the point counts first, then the points of consecutive runs of
-    replications holding at most about ``_RUN_POINTS`` points, in order from
-    the one block generator; ``stat`` gets each run's points, grouped by
-    replication, and their counts.  Sequential draws from one generator are
-    the same bits as one whole-block draw, so the runs bound memory and
-    change no number.
+    Draws all the point counts first, then the points run by run
+    (``sampling._runs``) from the one block generator; ``stat`` gets each
+    run's points, grouped by replication, and their counts.
     """
     counts = rng.poisson(t, size)
-    ends = np.cumsum(counts)
-    out, lo = [], 0
-    while lo < size:
-        start = ends[lo] - counts[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _RUN_POINTS, side="right")))
-        out.append(stat(domain.sample(rng, int(ends[hi - 1] - start)), counts[lo:hi], *stat_args))
-        lo = hi
-    return np.concatenate(out)
+    return np.concatenate([stat(domain.sample(rng, stop - start), counts[lo:hi], *stat_args)
+                           for lo, hi, start, stop in sampling._runs(counts)])
 
 
 def _reversed_diameter_exceeds(points, counts, scale, a):
@@ -233,9 +224,23 @@ def _reversed_diameter_exceeds(points, counts, scale, a):
     return out
 
 
-def _flat_pair_midpoint_count(d, m, t, window_radius, ball_radius, eps, rng):
-    flats = sampling.sample_poisson_flats(d, m, t, window_radius, rng)
-    return _count_close_line_pairs(flats, eps, ball_radius)
+def _flat_pair_counts(d, m, t, window_radius, ball_radius, eps, rng, size):
+    """The close line-pair count (``_count_close_line_pairs``) of each of a
+    block of ``size`` Poisson flat processes hitting the window ball.
+
+    Draws the block's flat counts, then the base radii of all its flats,
+    then, run by run (``sampling._runs``), the Gaussians of the run's flats
+    through ``sampling.sample_flats``; a block of one replication draws as
+    ``sampling.sample_poisson_flats``.
+    """
+    counts = rng.poisson(sampling.flats_hitting_mass(d, m, t, window_radius), size)
+    radii = window_radius * rng.uniform(size=counts.sum()) ** (1.0 / (d - m))
+    out = []
+    for lo, hi, start, stop in sampling._runs(counts):
+        frames = sampling.sample_flats(d, m, radii[start:stop], rng)
+        out += [_count_close_line_pairs(f, eps, ball_radius)
+                for f in np.split(frames, np.cumsum(counts[lo:hi - 1]))]
+    return np.array(out)
 
 
 def _count_close_line_pairs(frames, eps, ball_radius) -> int:
@@ -252,12 +257,14 @@ def _count_close_line_pairs(frames, eps, ball_radius) -> int:
     if n < 2:
         return 0
     bases, dirs = frames[:, 0], frames[:, 1]
-    cross = np.cross(bases, dirs) @ dirs.T
+    # b x u row by row, without np.cross's per-call overhead
+    cross = (bases[:, [1, 2, 0]] * dirs[:, [2, 0, 1]] - bases[:, [2, 0, 1]] * dirs[:, [1, 2, 0]]) @ dirs.T
     triple = cross + cross.T
     cos = dirs @ dirs.T
     with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal when eps is infinite
         near = triple * triple <= 4.0 * eps * eps * (1.0 - cos * cos)
-    iu, ju = np.nonzero(np.triu(near, k=1))
+    iu, ju = np.nonzero(near)
+    iu, ju = iu[iu < ju], ju[iu < ju]
     u, v = dirs[iu], dirs[ju]
     w = bases[iu] - bases[ju]
     c = np.einsum("ij,ij->i", u, v)
@@ -488,11 +495,11 @@ def _run_flats(cfg: ScenarioConfig) -> RunResult:
     if (d, m) != (3, 1):
         raise ValueError("vectorized flat-pair path covers lines in R^3")
     rows = []
-    for t in cfg.t_grid:
+    for idx, t in enumerate(cfg.t_grid):
         eps = a * t ** (-2.0 / (d - 2 * m))
         window = ball_radius + eps
         args = (d, m, t, window, ball_radius, eps)
-        counts = np.array(replicate(_flat_pair_midpoint_count, args, cfg.reps, cfg.seed))
+        counts = replicate_blocks(_flat_pair_counts, args, cfg.reps, cfg.seed, idx)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / sqrt(cfg.reps))
         target = sc * a ** (d - 2 * m) * vol_k
@@ -608,17 +615,8 @@ def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
         cases.append((2, sampling.PairProximityG(radius), mode))
         cases.append((2, sampling.NeighborCountG(radius), mode))
     rows = []
-    for k, g, mode in cases:
-        lhs, rhs, pooled = sampling.mecke_check(
-            domain,
-            t,
-            k,
-            g,
-            cfg.reps,
-            cfg.seed + 13 * k + (0 if mode == "poisson" else 1),
-            mode=mode,
-            n=n,
-        )
+    for c, (k, g, mode) in enumerate(cases):
+        lhs, rhs, pooled = sampling.mecke_check(domain, t, k, g, cfg.reps, cfg.seed, c, mode=mode, n=n)
         statistic = f"tuple-sum-k{k}-{type(g).__name__}-{mode}"
         rows.append(_gap_row(cfg, t if mode == "poisson" else n, statistic, lhs, rhs, pooled))
     passed = all(r.passed for r in rows)

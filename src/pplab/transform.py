@@ -204,22 +204,33 @@ def pair_sums_inverse_power(points: np.ndarray, counts, tau: float) -> np.ndarra
 def antipodal_pairs(points: np.ndarray, counts, radius: float):
     """Pairs of one replication each within ``radius`` of the other's antipode.
 
-    For every i < j of a replication with |x_i + x_j| <= radius, returns its
-    replication and |x_i - x_j| as ``(rep, dist)``.  The pairs come from
-    ``_pairs_within`` run on each replication's points followed by their
-    negations, keeping the pairs of a point and another point's antipode.
+    For every pair i != j of a replication with |x_i + x_j| <= radius,
+    returns, once, its replication and |x_i - x_j| as ``(rep, dist)``.  The
+    pairs come from ``_pairs_within`` run on each replication's points and
+    their negations, keeping the pairs of a point x and another point's
+    antipode -y.  Such a pair with x_1 >= y_1 has x_1 >= -radius/2 and
+    -y_1 >= -radius/2, so only the stacked points with first coordinate
+    >= -radius/2 are searched (less a relative 1e-9, far above the rounding
+    of x_1 + y_1), and a pair is kept in that orientation.
     """
     pts = _as_points(points)
     n = len(pts)
     rep = np.repeat(np.arange(len(counts)), counts)
     # stacked index k < n is point k, k >= n the antipode of point k - n
-    stacked = np.argsort(np.concatenate([rep, rep]), kind="stable")
-    _, a, b, _ = _pairs_within(np.take(np.concatenate([pts, -pts]), stacked, axis=0), 2 * np.asarray(counts), radius)
-    a, b = stacked[a], stacked[b]
+    stacked = np.concatenate([pts, -pts])
+    stacked_rep = np.concatenate([rep, rep])
+    half = np.flatnonzero(stacked[:, 0] >= -0.5 * radius * (1.0 + 1e-9))
+    half = half[np.argsort(stacked_rep[half], kind="stable")]
+    half_counts = np.bincount(stacked_rep[half], minlength=len(counts))
+    _, a, b, _ = _pairs_within(stacked[half], half_counts, radius)
+    a, b = half[a], half[b]
     point, antipode = np.minimum(a, b), np.maximum(a, b) - n
-    # each pair shows up once per point; keep it at its lower index
-    keep = (point < n) & (antipode >= 0) & (point < antipode)
+    keep = (point < n) & (antipode >= 0) & (point != antipode)
     i, j = point[keep], antipode[keep]
+    # the orientation x_i,1 >= x_j,1 is always found; a tie is found both ways
+    first, other = pts[i, 0], pts[j, 0]
+    keep = (first > other) | ((first == other) & (i < j))
+    i, j = i[keep], j[keep]
     return rep[i], np.linalg.norm(pts[i] - pts[j], axis=1)
 
 

@@ -6,7 +6,8 @@ kernels, a Monte Carlo for the quadrature moments, adaptive quadrature for
 the stored d = 2 pair-integral constants, a least-squares solver for the
 closed-form line-pair distances, per-replication ``Configuration``
 simulators and the exact time-s count law for the block samplers of
-``pplab.glauber``, readers for the emitted files).
+``pplab.glauber``, one-tuple Mecke test functions for the ragged block
+sides of ``pplab.sampling``, readers for the emitted files).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from functools import lru_cache
-from math import fsum, pi, sqrt
+from math import fsum, perm, pi, sqrt
 
 import numpy as np
 from scipy import integrate
@@ -25,6 +26,8 @@ from scipy.stats import binom, poisson
 from pplab.bounds import QUAD_ABS_TOL, MomentPair
 from pplab.configuration import Configuration
 from pplab.rng import derive_rng
+from pplab.geometry import orthocomplement_basis
+from pplab.sampling import ConstantG, NeighborCountG, PairProximityG, SingletonNeighborG, flats_hitting_mass
 from pplab.transform import SymmetricKernel, induce, pair_count_within
 
 ORTHONORMAL_TOL = 1e-12
@@ -237,6 +240,84 @@ def flat_distance_midpoint(e: AffineFlat, f: AffineFlat) -> tuple[float, np.ndar
     if dist < GENERAL_POSITION_TOL * scale:
         raise ValueError("flats intersect (degenerate position)")
     return dist, (p_e + p_f) / 2.0
+
+
+def flat_variates(d, m, t, window_radius, rng, size=None):
+    """The flat counts, base radii and Gaussians of ``size`` Poisson flat
+    processes (one when None), redrawn whole in the samplers' order."""
+    counts = rng.poisson(flats_hitting_mass(d, m, t, window_radius), size)
+    n = int(np.sum(counts))
+    radii = window_radius * rng.uniform(size=n) ** (1.0 / (d - m))
+    return counts, radii, rng.standard_normal((n, m + 1, d))
+
+
+def per_flat_frames(d, m, radii, gauss) -> np.ndarray:
+    """``sampling.sample_flats`` one flat at a time from its variates (base
+    radius, Gaussian rows), through an SVD complement basis, as
+    base/direction rows."""
+    rows = np.empty((len(radii), m + 1, d))
+    for k, (r, g) in enumerate(zip(radii, gauss)):
+        q, _ = np.linalg.qr(g[1:].T)
+        comp = orthocomplement_basis(q.T)
+        coef = comp @ g[0]
+        flat = AffineFlat(base=r * (coef / np.linalg.norm(coef)) @ comp, directions=q.T)
+        rows[k, 0] = flat.base
+        rows[k, 1:] = flat.directions
+    return rows
+
+
+# The Mecke test functions of ``pplab.sampling`` one tuple at a time: each
+# g's definition, the generic sum over ordered distinct tuples built on it,
+# and each g's dense pair-matrix sum, for the ragged block methods.
+
+
+def mecke_tuple_value(g, pts, config_pts) -> float:
+    """g(pts, mu) for one tuple ``pts`` and the configuration ``config_pts``."""
+    pts, config_pts = np.asarray(pts), np.asarray(config_pts)
+    if isinstance(g, ConstantG):
+        return 1.0
+    if isinstance(g, PairProximityG):
+        return float(np.linalg.norm(pts[0] - pts[1]) <= g.radius)
+    if len(config_pts):
+        diff = pts[:, None, :] - config_pts[None, :, :]
+        ball = (np.einsum("ijk,ijk->ij", diff, diff) <= g.radius**2).sum(axis=1)
+    else:
+        ball = np.zeros(len(pts))
+    if isinstance(g, SingletonNeighborG):
+        return min(float(ball[0]), g.cap) / g.cap
+    if isinstance(g, NeighborCountG):
+        return min(float(ball[0] + ball[1]), g.cap) / g.cap
+    raise TypeError(f"no oracle for {type(g).__name__}")
+
+
+def mecke_config_sum_loop(g, config_pts) -> float:
+    """Sum of g over the ordered distinct k-tuples of ``config_pts``, one tuple at a time."""
+    config_pts = np.asarray(config_pts)
+    return sum(
+        mecke_tuple_value(g, config_pts[list(idx)], config_pts)
+        for idx in permutations(range(len(config_pts)), g.k)
+    )
+
+
+def mecke_config_sum(g, config_pts) -> float:
+    """``mecke_config_sum_loop`` from each g's dense pair matrix."""
+    config_pts = np.asarray(config_pts)
+    n = len(config_pts)
+    if isinstance(g, ConstantG):
+        return float(perm(n, g.k))
+    if n < g.k:
+        return 0.0
+    diff = config_pts[:, None, :] - config_pts[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= g.radius**2
+    if isinstance(g, PairProximityG):
+        return float(within.sum() - n)  # drop the diagonal; ordered pairs
+    counts = within.sum(axis=1)
+    if isinstance(g, SingletonNeighborG):
+        return float((np.minimum(counts, g.cap) / g.cap).sum())
+    if isinstance(g, NeighborCountG):
+        vals = np.minimum(counts[:, None] + counts[None, :], g.cap) / g.cap
+        return float(vals.sum() - np.minimum(2 * counts, g.cap).sum() / g.cap)
+    raise TypeError(f"no oracle for {type(g).__name__}")
 
 
 # Birth-death dynamics on the line, one replication per generator, on

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import parse_csv, parse_json
-from pplab import cli, metrics, reporting, scenarios, transform
+from pplab import cli, metrics, reporting, sampling, scenarios, transform
 from pplab.rng import _threads, derive_rng, replicate
 from pplab.scenarios import ResultRow, ScenarioConfig
 
@@ -538,6 +538,39 @@ def test_pruned_line_pair_count_matches_all_pairs():
         assert got == _all_pairs_close_count(frames, eps, ball_radius)
         total += got
     assert total > 0
+
+
+FLAT_BLOCK_ARGS = (3, 1, 100.0, 0.6 + 100.0**-2, 0.6, 100.0**-2)  # d, m, t, window, ball, eps
+
+
+def test_flat_block_counts_match_per_flat_oracle():
+    # the block's own variates, redrawn whole, made into frames one flat at
+    # a time and counted over every pair with the exact formulas
+    from oracles import flat_variates, per_flat_frames
+
+    d, m, t, window, ball_radius, eps = FLAT_BLOCK_ARGS
+    got = scenarios._flat_pair_counts(*FLAT_BLOCK_ARGS, derive_rng(43, 0, 0), 120)
+    counts, radii, gauss = flat_variates(d, m, t, window, derive_rng(43, 0, 0), 120)
+    frames = per_flat_frames(d, m, radii, gauss)
+    want = [_all_pairs_close_count(f, eps, ball_radius) for f in np.split(frames, np.cumsum(counts)[:-1])]
+    assert np.array_equal(got, want)
+    assert sum(want) > 0
+
+
+def test_flat_block_counts_do_not_depend_on_run_size(monkeypatch):
+    from pplab.sampling import sample_poisson_flats
+
+    whole = scenarios._flat_pair_counts(*FLAT_BLOCK_ARGS, derive_rng(44, 0, 0), 500)
+    assert whole.sum() > 0
+    for run_points in (1, 97, 5_000, 10**9):
+        monkeypatch.setattr(sampling, "_RUN_POINTS", run_points)
+        assert np.array_equal(scenarios._flat_pair_counts(*FLAT_BLOCK_ARGS, derive_rng(44, 0, 0), 500), whole)
+    # a block of one replication draws as the one-process sampler
+    d, m, t, window, ball_radius, eps = FLAT_BLOCK_ARGS
+    for seed in range(5):
+        frames = sample_poisson_flats(d, m, t, window, derive_rng(seed))
+        one = scenarios._flat_pair_counts(*FLAT_BLOCK_ARGS, derive_rng(seed), 1)
+        assert one.tolist() == [scenarios._count_close_line_pairs(frames, eps, ball_radius)]
 
 
 def test_line_pair_at_the_cutoff_is_counted():

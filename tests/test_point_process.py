@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import AffineFlat
+from oracles import flat_variates, per_flat_frames
 from pplab.configuration import Configuration
-from pplab.geometry import Domain, haar_frame, orthocomplement_basis
+from pplab.geometry import Domain
 from pplab.metrics import tv_against_poisson, tv_integer
 from pplab.rng import derive_rng
 from pplab.sampling import (
@@ -125,30 +125,41 @@ def test_flats_t0_empty():
     assert flats.shape == (0, 2, 3)
 
 
-def _per_flat_flats(d, m, t, window_radius, rng):
-    """One flat at a time from the geometry primitives, stacked as base/direction rows."""
-    n = rng.poisson(flats_hitting_mass(d, m, t, window_radius))
-    rows = np.empty((n, m + 1, d))
-    for k in range(n):
-        dirs = haar_frame(rng, d, m)
-        comp = orthocomplement_basis(dirs)
-        g = rng.standard_normal(d - m)
-        g /= np.linalg.norm(g)
-        r = window_radius * rng.uniform() ** (1.0 / (d - m))
-        flat = AffineFlat(base=(r * g) @ comp, directions=dirs)
-        rows[k, 0] = flat.base
-        rows[k, 1:] = flat.directions
-    return rows
-
-
 @pytest.mark.parametrize("d, m", [(3, 1), (5, 2)])
 @pytest.mark.parametrize("t", [0.0, 3.0, 40.0])
 def test_flats_match_per_flat_oracle(d, m, t):
     for seed in (1, 7, 42, 2024):
         got = sample_poisson_flats(d, m, t, 0.8, derive_rng(seed, 5))
-        want = _per_flat_flats(d, m, t, 0.8, derive_rng(seed, 5))
-        assert got.shape == want.shape == (len(want), m + 1, d)
-        assert np.array_equal(got, want)
+        n, radii, gauss = flat_variates(d, m, t, 0.8, derive_rng(seed, 5))
+        want = per_flat_frames(d, m, radii, gauss)
+        assert got.shape == want.shape == (n, m + 1, d)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(3, 1), (5, 2)])
+def test_flats_law(d, m):
+    # about 20 000 flats: orthonormal directions with the base point in their
+    # complement; the span Haar (|P e|^2 ~ Beta(m/2, (d-m)/2) for a fixed unit
+    # e); |base| / R ~ U^(1/(d-m)); and the base direction uniform on the
+    # complement's sphere, so its squared cosine with the unit complement
+    # part of e is Beta(1/2, (d-m-1)/2)
+    radius = 0.8
+    frames = sample_poisson_flats(d, m, 10_000.0, radius, derive_rng(77, d))
+    base, dirs = frames[:, 0], frames[:, 1:]
+    assert len(frames) > 15_000
+    np.testing.assert_allclose(dirs @ dirs.swapaxes(1, 2), np.broadcast_to(np.eye(m), (len(frames), m, m)),
+                               atol=1e-12)
+    assert np.abs(np.einsum("nd,nkd->nk", base, dirs)).max() < 1e-12
+    scaled = np.linalg.norm(base, axis=1) / radius
+    assert stats.kstest(scaled ** (d - m), "uniform").pvalue > 1e-3
+    assert stats.kstest(scaled, "uniform").pvalue < 1e-6  # the test sees a wrong radius law
+    rng = derive_rng(78)
+    for e in (np.eye(d)[0], rng.standard_normal(d)):
+        e = e / np.linalg.norm(e)
+        proj2 = (np.einsum("nkd,d->nk", dirs, e) ** 2).sum(axis=1)
+        assert stats.kstest(proj2, stats.beta(m / 2, (d - m) / 2).cdf).pvalue > 1e-3
+        cos2 = (base @ e) ** 2 / (scaled * radius) ** 2 / (1.0 - proj2)
+        assert stats.kstest(cos2, stats.beta(0.5, (d - m - 1) / 2).cdf).pvalue > 1e-3
 
 
 def test_flats_rejects_bad_m():

@@ -6,11 +6,14 @@ builds those addresses and fans them out over the process pool.  A loop
 over ``range(...)`` anywhere else in the package that hands its loop
 variable to ``derive_rng`` is a second copy of that contract, and fails
 here.  Loops over an intensity or horizon grid that derive one stream per
-grid point are not replication loops and are not flagged.
+grid point are not replication loops and are not flagged.  A scenario on
+stream addresses (seed, scenario-local id, b) draws no two streams of a
+run from one address and shares none with the run of the next seed.
 """
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,8 @@ BLOCK_CONFIGS = {
     "gilbert-lengths": dict(d=2, t_grid=(15.0,), params={"cells": 16, "n_boot": 10, "target_factor": 1}),
     "distance-power": dict(d=2, t_grid=(15.0,), params={"n_boot": 10}),
     "polytope": dict(d=3, t_grid=(20.0,)),
+    "flats": dict(d=3, t_grid=(5.0,), params={"constant_mc_samples": 200}),
+    "mecke-verify": dict(d=2, t_grid=(10.0,), params={"n": 10}),
 }
 
 
@@ -179,3 +184,37 @@ def test_block_scenario_rows_identical_for_any_worker_count(monkeypatch, scenari
     pooled = scenarios.run(cfg)
     assert [repr(r) for r in pooled.rows] == [repr(r) for r in serial.rows]
     assert json.dumps(pooled.summary, default=str) == json.dumps(serial.summary, default=str)
+
+
+ADDRESS_CONFIGS = {
+    "flats": dict(d=3, t_grid=(2.0, 4.0), reps=BLOCK + 5, params={"constant_mc_samples": 200}),
+    "mecke-verify": dict(d=2, t_grid=(10.0,), reps=BLOCK + 5, params={"n": 10}),
+}
+
+
+def _addresses(monkeypatch, cfg) -> list[tuple]:
+    """Every (seed, *stream) address that a serial run of cfg draws from,
+    logged in each pplab module that holds ``derive_rng``."""
+    seen = []
+
+    def logged(seed, *stream):
+        seen.append((seed, *stream))
+        return derive_rng(seed, *stream)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pplab") and getattr(module, "derive_rng", None) is derive_rng:
+            monkeypatch.setattr(module, "derive_rng", logged)
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    scenarios.run(cfg)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("scenario", ADDRESS_CONFIGS)
+def test_stream_addresses_are_distinct_within_a_run_and_across_seeds(monkeypatch, scenario):
+    runs = [_addresses(monkeypatch, ScenarioConfig(scenario=scenario, seed=s, **ADDRESS_CONFIGS[scenario]))
+            for s in (9, 10)]
+    for seen in runs:
+        assert len(seen) > 2
+        assert len(set(seen)) == len(seen), "two draws of one run share an address"
+    assert not set(runs[0]) & set(runs[1]), "seeds s and s + 1 share an address"

@@ -300,6 +300,8 @@ def test_antipodal_pairs_match_brute_force():
     g = rng.standard_normal((counts.sum(), 3))
     pts = g / np.linalg.norm(g, axis=1, keepdims=True)
     pts[3] = -pts[4]  # an exact antipodal pair
+    pts[5] = [0.01, 0.6, np.sqrt(1.0 - 0.01**2 - 0.6**2)]
+    pts[6] = pts[5] * [1.0, -1.0, -1.0]  # equal first coordinates: found both ways, kept once
     for radius in (0.05, 0.3, 1.0):
         want_rep, want_dist = [], []
         start = 0
