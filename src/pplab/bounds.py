@@ -21,6 +21,7 @@ from .laws import CompoundPoissonLaw, LevyLaw, PoissonLaw, StableSeriesLaw, stab
 from .rng import derive_rng
 
 QUAD_ABS_TOL = 1e-12
+_HAAR_RUN = 16_384  # Haar frame pairs per draw of flats_constant_mc
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +324,23 @@ def flats_constant_via_grassmannian(d: int, m: int) -> float:
 def flats_constant_mc(d: int, m: int, samples: int, rng_seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the constant via Haar frame pairs.
 
-    One Gaussian draw of shape (samples, 2, d, m) is the stream of
-    ``samples`` pairs of ``geometry.haar_frame`` calls; the QR, the Gram
-    matrices and the determinants are stacked over the pairs and match
-    ``geometry.subspace_determinant`` sample by sample.
+    Gaussian draws of shape (n, 2, d, m), in runs of at most ``_HAAR_RUN``
+    pairs, are the stream of ``samples`` pairs of ``geometry.haar_frame``
+    calls; the QR, the Gram matrices and the determinants are stacked over
+    a run's pairs and match ``geometry.subspace_determinant`` sample by
+    sample, so the run size bounds the memory and changes no number.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 Monte Carlo samples for a standard error, got {samples}")
     rng = derive_rng(rng_seed, 4242)
-    kd2m = unit_ball_volume(d - 2 * m)
-    q, _ = np.linalg.qr(rng.standard_normal((samples, 2, d, m)))
-    frames = q.swapaxes(2, 3).reshape(samples, 2 * m, d)  # rows: both frames stacked
-    det = np.linalg.det(frames @ frames.swapaxes(1, 2))
-    vals = np.zeros(samples)
-    pos = det > 0.0
-    vals[pos] = np.minimum(1.0, np.sqrt(det[pos]))
-    vals *= 0.5 * kd2m
+    vals = np.empty(samples)
+    for start in range(0, samples, _HAAR_RUN):
+        n = min(_HAAR_RUN, samples - start)
+        q, _ = np.linalg.qr(rng.standard_normal((n, 2, d, m)))
+        frames = q.swapaxes(2, 3).reshape(n, 2 * m, d)  # rows: both frames stacked
+        det = np.linalg.det(frames @ frames.swapaxes(1, 2))
+        vals[start:start + n] = np.sqrt(np.clip(det, 0.0, 1.0))  # rounding can leave det outside [0, 1]
+    vals *= 0.5 * unit_ball_volume(d - 2 * m)
     return float(vals.mean()), float(vals.std(ddof=1) / sqrt(samples))
 
 

@@ -17,7 +17,8 @@ from . import reporting, scenarios
 VERIFY_CONFIGS = {
     "mecke": {"scenario": "mecke-verify", "d": 2, "t_grid": [50.0], "reps": 10_000,
               "params": {"n": 50}},
-    "glauber": {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "reps": 100_000},
+    "glauber": {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "reps": 100_000,
+                "params": {"mass": 5.0, "commutation_reps": 100_000}},
 }
 
 
@@ -46,6 +47,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _report(result) -> int:
+    """Print each row and the summary of a scenario run; return its exit code."""
+    for row in result.rows:
+        status = "ok " if row.passed else "FAIL"
+        bound = "" if row.bound is None else f" bound={row.bound:.6g}"
+        print(
+            f"[{status}] {row.scenario} t={row.t:g} {row.statistic} "
+            f"{row.distance_name}={row.distance:.6g} (se={row.stderr:.3g}){bound}"
+        )
+    print("summary:", json.dumps(result.summary, default=str))
+    return 0 if result.passed else 2
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -62,17 +76,8 @@ def _cmd_run(args) -> int:
     ext = {"csv": "csv", "json": "json", "gnuplot-dat": "dat"}[args.format]
     out_path = args.output or f"{cfg.scenario}.{ext}"
     reporting.emit(result.rows, args.format, out_path)
-    for row in result.rows:
-        status = "ok " if row.passed else "FAIL"
-        bound = "" if row.bound is None else f" bound={row.bound:.6g}"
-        print(
-            f"[{status}] {row.scenario} t={row.t:g} {row.statistic} "
-            f"{row.distance_name}={row.distance:.6g} (se={row.stderr:.3g}){bound}"
-        )
-    summary = {k: v for k, v in result.summary.items()}
-    print("summary:", json.dumps(summary, default=str))
     print(f"wrote {out_path}")
-    return 0 if result.passed else 2
+    return _report(result)
 
 
 def _cmd_verify(args) -> int:
@@ -91,14 +96,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    for row in result.rows:
-        status = "ok " if row.passed else "FAIL"
-        print(
-            f"[{status}] {row.statistic} t={row.t:g} {row.distance_name}="
-            f"{row.distance:.6g} (se={row.stderr:.3g})"
-        )
-    print("summary:", json.dumps(result.summary, default=str))
-    return 0 if result.passed else 2
+    return _report(result)
 
 
 def main(argv=None) -> int:

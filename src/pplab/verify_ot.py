@@ -120,7 +120,7 @@ def run_ot_verification(seed: int = 0, instances: int = 200) -> dict:
         max_cost_err = max(max_cost_err, err)
         max_gap = max(max_gap, plan.duality_gap)
         max_slack = max(max_slack, plan.slackness_residual)
-        if err > 1e-9 or plan.duality_gap > 1e-8:
+        if err >= 1e-9 or plan.duality_gap >= 1e-8:
             failures += 1
     passed = failures == 0
     text = (

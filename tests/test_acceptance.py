@@ -1,25 +1,64 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one pass/fail line per criterion, A1-A11.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see every line; the
-whole suite is deterministic (fixed seeds, derived per-replication
-streams).
+A scenario criterion runs one committed config at seed 42 (a file of
+`configs/` or a suite of `cli.VERIFY_CONFIGS`) and its verdict is the
+scenario's own summary, so it agrees with its CLI command (`pplab run
+--config configs/<file>` or `pplab verify --suite <suite> --seed 42`) by
+construction. Every threshold and tolerance lives in the program; this
+module holds the table, the runtime budgets and the two criteria that are
+not scenarios (A1 and A10).
+
+Run `pytest tests/test_acceptance.py -v -s` to see every line, or
+`-k A4 -s` for one criterion. The suite is deterministic: each block of
+replications draws from a stream derived from (seed, stream ids, block
+index), so results are bit-identical across runs and worker counts.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pplab import bounds as bnd
-from pplab import scenarios
+from pplab import cli, scenarios
 from pplab.scenarios import ScenarioConfig
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SEED = 42
 
-def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
-    status = "PASS" if ok else "FAIL"
-    print(f"{name} {status} ({elapsed:.1f}s / budget {budget:.0f}s): {detail}")
-    assert ok, f"{name}: {detail}"
-    assert elapsed < budget, f"{name}: runtime {elapsed:.1f}s over budget {budget:.0f}s"
+# criterion -> (a file of configs/ or a suite of cli.VERIFY_CONFIGS, runtime budget in s)
+CRITERIA = {
+    "A2": ("mecke", 60.0),
+    "A3": ("gilbert_edges.json", 300.0),
+    "A4": ("gilbert_lengths.json", 300.0),
+    "A5": ("distance_power.json", 300.0),
+    "A6": ("gilbert_midpoints.json", 180.0),
+    "A7": ("glauber", 180.0),
+    "A8": ("polytope.json", 240.0),
+    "A9": ("flats.json", 240.0),
+    "A11": ("kr_identity.json", 120.0),
+}
+
+
+def _verdict(criterion: str, passed: bool, elapsed: float, budget: float):
+    print(f"{criterion} {'PASS' if passed else 'FAIL'} ({elapsed:.1f}s / budget {budget:.0f}s)")
+    assert passed, f"{criterion} failed"
+    assert elapsed < budget, f"{criterion}: runtime {elapsed:.1f}s over budget {budget:.0f}s"
+
+
+def _scenario_criterion(criterion: str):
+    source, budget = CRITERIA[criterion]
+    if source.endswith(".json"):
+        data = json.loads((CONFIGS / source).read_text())
+    else:
+        data = cli.VERIFY_CONFIGS[source]
+    start = time.perf_counter()
+    result = scenarios.run(ScenarioConfig.from_dict({**data, "seed": SEED}))
+    elapsed = time.perf_counter() - start
+    print(f"\n{criterion}: {source} at seed {SEED}")
+    cli._report(result)
+    _verdict(criterion, result.passed, elapsed, budget)
 
 
 def test_a1_ot_exactness():
@@ -28,224 +67,42 @@ def test_a1_ot_exactness():
     start = time.perf_counter()
     rep = run_ot_verification(seed=0, instances=200)
     elapsed = time.perf_counter() - start
-    ok = rep["passed"] and rep["max_cost_err"] < 1e-9 and rep["max_gap"] < 1e-8
-    _report(
-        "A1 ot-exactness",
-        ok,
-        f"max cost err {rep['max_cost_err']:.2e}, max duality gap {rep['max_gap']:.2e}",
-        elapsed,
-        10.0,
-    )
+    print(f"\n{rep['text']}")
+    _verdict("A1", rep["passed"], elapsed, 10.0)
 
 
+# The scenario criteria keep one named test each, so their test ids do not
+# move with the table.
 def test_a2_mecke_identities():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="mecke-verify",
-            d=2,
-            t_grid=(50.0,),
-            reps=10_000,
-            seed=42,
-            params={"n": 50},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    worst = max(
-        (r.distance / r.stderr if r.stderr > 0 else 0.0) for r in res.rows
-    )
-    _report(
-        "A2 mecke-identities",
-        res.passed,
-        f"8 checks (k in {{1,2}}, two functions, both sources); worst gap {worst:.2f} pooled sigma",
-        elapsed,
-        60.0,
-    )
+    _scenario_criterion("A2")
 
 
 def test_a3_gilbert_edge_counts():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="gilbert-edges",
-            d=2,
-            t_grid=(50.0, 100.0, 200.0, 400.0),
-            reps=20_000,
-            seed=42,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    rows = res.rows
-    bound_ok = all(r.distance + 3 * r.stderr <= r.bound for r in rows)
-    slope = res.summary["slope"]
-    detail = (
-        "dW+3se vs bound: "
-        + ", ".join(f"t={r.t:g}: {r.distance + 3 * r.stderr:.4f}<={r.bound:.4f}" for r in rows)
-        + f"; slope {slope:.2f} <= -0.5"
-    )
-    _report("A3 gilbert-edge-counts", bound_ok and slope <= -0.5, detail, elapsed, 300.0)
+    _scenario_criterion("A3")
 
 
 def test_a4_edge_length_compound_poisson():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="gilbert-lengths",
-            d=2,
-            t_grid=(50.0, 100.0, 200.0),
-            reps=20_000,
-            seed=42,
-            params={"b": 1.0, "tv_threshold": 0.1},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    tvs = [r.distance for r in res.rows]
-    ok = res.summary["decreasing"] and tvs[-1] < 0.1
-    _report(
-        "A4 edge-length-compound-poisson",
-        ok,
-        f"discretized TV {', '.join(f'{v:.4f}' for v in tvs)} (decreasing, last < 0.1); "
-        "discretized TV lower-bounds the true TV",
-        elapsed,
-        300.0,
-    )
+    _scenario_criterion("A4")
 
 
 def test_a5_stable_limit():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="distance-power",
-            d=2,
-            t_grid=(50.0, 100.0, 200.0),
-            reps=10_000,
-            seed=42,
-            params={"tau": 4.0, "dk_threshold": 0.08, "threshold_t": 100.0},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    dks = {r.t: r.distance for r in res.rows}
-    ok = dks[100.0] < 0.08 and dks[50.0] > dks[200.0]
-    _report(
-        "A5 stable-limit",
-        ok,
-        f"dK(t=100)={dks[100.0]:.4f} < 0.08; dK 50->200: {dks[50.0]:.4f} -> {dks[200.0]:.4f}; "
-        f"predicted rate exponent {res.rows[0].rate_pred}",
-        elapsed,
-        300.0,
-    )
+    _scenario_criterion("A5")
 
 
 def test_a6_midpoint_process_kr():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="gilbert-midpoints",
-            d=2,
-            t_grid=(200.0,),
-            reps=1000,
-            seed=42,
-            params={"a": 1.0, "n_configs": 300},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    est = next(r for r in res.rows if r.distance_name == "kr-surrogate")
-    floor = next(r for r in res.rows if r.distance_name == "kr-noise-floor")
-    excess = est.distance - floor.distance
-    ok = excess < 3 * est.stderr
-    _report(
-        "A6 midpoint-process-kr",
-        ok,
-        f"surrogate {est.distance:.4f} vs floor {floor.distance:.4f} "
-        f"(excess {excess:+.4f} < 3 sigma = {3 * est.stderr:.4f})",
-        elapsed,
-        180.0,
-    )
+    _scenario_criterion("A6")
 
 
 def test_a7_glauber_suite():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="glauber-verify",
-            d=1,
-            t_grid=(1.0,),
-            reps=100_000,
-            seed=42,
-            params={"mass": 5.0, "commutation_reps": 100_000},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    tv_row = next(r for r in res.rows if r.statistic == "count-law")
-    erg_last = [r for r in res.rows if r.statistic == "ergodicity"][-1]
-    commutation_ok = all(r.passed for r in res.rows if r.statistic.startswith("commutation"))
-    ok = res.passed
-    _report(
-        "A7 glauber-suite",
-        ok,
-        f"two-simulator TV {tv_row.distance:.4f} < 0.02; commutation within 3 sigma: "
-        f"{commutation_ok}; ergodicity TV at s=8: {erg_last.distance:.4f} < 0.03",
-        elapsed,
-        180.0,
-    )
+    _scenario_criterion("A7")
 
 
 def test_a8_polytope_diameter():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="polytope",
-            d=3,
-            t_grid=(100.0, 400.0),
-            reps=20_000,
-            seed=42,
-            params={
-                "a": 1.0,
-                "gap_threshold": 0.02,
-                # the trend between the two gaps sits near the noise floor at
-                # the base replication count; the extra replications are cheap
-                "reps_by_t": {100.0: 400_000, 400.0: 100_000},
-            },
-        )
-    )
-    elapsed = time.perf_counter() - start
-    gaps = {r.t: r.distance for r in res.rows}
-    ok = gaps[400.0] < 0.02 and gaps[400.0] < gaps[100.0]
-    _report(
-        "A8 polytope-diameter",
-        ok,
-        f"|gap| at t=400: {gaps[400.0]:.5f} < 0.02; t=400 gap < t=100 gap "
-        f"({gaps[400.0]:.5f} < {gaps[100.0]:.5f}); limit tail e^(-1/2)",
-        elapsed,
-        240.0,
-    )
+    _scenario_criterion("A8")
 
 
 def test_a9_flats():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="flats",
-            d=3,
-            t_grid=(100.0,),
-            reps=10_000,
-            seed=42,
-            params={"m": 1, "a": 1.0},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    mean_row = next(r for r in res.rows if r.statistic == "flat-midpoint-count")
-    const_row = next(r for r in res.rows if r.statistic == "flats-constant")
-    ok = res.passed and abs(bnd.flats_constant(3, 1) - np.pi / 4) < 1e-12
-    _report(
-        "A9 flats",
-        ok,
-        f"mean |err| {mean_row.distance:.4f} < 3 sigma {3 * mean_row.stderr:.4f} "
-        f"(constant pi/4); closed form vs Haar MC |err| {const_row.distance:.5f} "
-        f"< {3 * const_row.stderr:.5f}",
-        elapsed,
-        240.0,
-    )
+    _scenario_criterion("A9")
 
 
 def test_a10_closed_form_identities():
@@ -253,7 +110,6 @@ def test_a10_closed_form_identities():
 
     from pplab.geometry import (
         Domain,
-        haar_frame,
         integrated_subspace_determinant,
         steiner_volume,
         subspace_determinant,
@@ -297,10 +153,12 @@ def test_a10_closed_form_identities():
         v /= np.linalg.norm(v)
         sub_ok &= abs(subspace_determinant([u], [v]) - np.linalg.norm(np.cross(u, v))) < 1e-10
     checks.append(sub_ok)
-    # integrated determinant evaluations and the flats-constant identity
+    # integrated determinant evaluations and the flats-constant identities,
+    # among them A9's constant pi/4 for lines in R^3
     checks.append(abs(integrated_subspace_determinant(3, 1) - np.pi / 4) < 1e-10)
     checks.append(abs(integrated_subspace_determinant(2, 1) - 2 / np.pi) < 1e-10)
     checks.append(integrated_subspace_determinant(5, 0) == 1.0)
+    checks.append(abs(bnd.flats_constant(3, 1) - np.pi / 4) < 1e-12)
     checks.append(
         all(
             abs(bnd.flats_constant(d, m) - bnd.flats_constant_via_grassmannian(d, m)) < 1e-10
@@ -315,37 +173,17 @@ def test_a10_closed_form_identities():
     checks.append(float(np.max(np.abs(num - law.pdf(xs)) / law.pdf(xs))) < 1e-6)
     checks.append(abs(law.cdf(np.array([2.0]))[0] - erfc(np.sqrt(np.pi**3 / 32))) < 1e-12)
     elapsed = time.perf_counter() - start
-    _report(
-        "A10 closed-form-identities",
-        all(checks),
-        f"{len(checks)} identity groups (recursion, Steiner, determinants, Levy)",
-        elapsed,
-        5.0,
-    )
+    print(f"\n{len(checks)} identity groups (recursion, Steiner, determinants, flats constant, Levy)")
+    _verdict("A10", all(checks), elapsed, 5.0)
 
 
 def test_a11_mapping_theorem_kr():
-    start = time.perf_counter()
-    res = scenarios.run(
-        ScenarioConfig(
-            scenario="kr-estimate",
-            d=2,
-            t_grid=(3.0,),
-            reps=1000,
-            seed=42,
-            params={"mode": "identity-mapping", "n_configs": 300},
-        )
-    )
-    elapsed = time.perf_counter() - start
-    est = next(r for r in res.rows if r.distance_name == "kr-surrogate")
-    floor = next(r for r in res.rows if r.distance_name == "kr-noise-floor")
-    excess = est.distance - floor.distance
-    ok = excess < 3 * est.stderr
-    _report(
-        "A11 mapping-theorem-kr",
-        ok,
-        f"surrogate {est.distance:.4f} vs floor {floor.distance:.4f} "
-        f"(excess {excess:+.4f} < 3 sigma = {3 * est.stderr:.4f})",
-        elapsed,
-        120.0,
-    )
+    _scenario_criterion("A11")
+
+
+def test_criteria_table_names_every_committed_config_once():
+    sources = sorted(source for source, _ in CRITERIA.values())
+    assert sources == sorted([p.name for p in CONFIGS.glob("*.json")] + list(cli.VERIFY_CONFIGS))
+    # and each scenario criterion has its test above
+    tested = {name.split("_")[1].upper() for name in globals() if name.startswith("test_a")}
+    assert tested == {*CRITERIA, "A1", "A10"}

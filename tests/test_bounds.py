@@ -285,6 +285,12 @@ def test_flats_constant_mc_matches_per_sample_loop(d, m):
     assert flats_constant_mc(d, m, samples, rng_seed=11) == want
 
 
+def test_flats_constant_mc_run_size_changes_no_bit(monkeypatch):
+    want = flats_constant_mc(3, 1, 5000, rng_seed=42)
+    monkeypatch.setattr(bnd, "_HAAR_RUN", 1536)  # three full runs and a ragged one
+    assert flats_constant_mc(3, 1, 5000, rng_seed=42) == want
+
+
 @pytest.mark.parametrize("samples", [0, 1])
 def test_flats_constant_mc_needs_two_samples(samples):
     with pytest.raises(ValueError, match="at least 2"):

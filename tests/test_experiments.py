@@ -436,6 +436,15 @@ def test_scenario_rows_reproducible_fields():
     assert surrogate.distance >= 0 and floor.distance >= 0
 
 
+def test_kr_row_fails_at_exactly_three_sigma_over_the_floor():
+    # the A6 / A11 rule is estimate - floor < 3 sigma, so equality fails
+    cfg = ScenarioConfig(scenario="kr-estimate")
+    at_edge = metrics.KrEstimate(estimate=2.5, noise_floor=1.0, noise_floor_std=0.5)
+    assert not scenarios._kr_rows(cfg, 3.0, "kr", at_edge, None, "")[0].passed
+    below = metrics.KrEstimate(estimate=2.4, noise_floor=1.0, noise_floor_std=0.5)
+    assert scenarios._kr_rows(cfg, 3.0, "kr", below, None, "")[0].passed
+
+
 @pytest.mark.parametrize(
     "scenario, params",
     [
