@@ -85,6 +85,7 @@ def _cmd_verify(args) -> int:
         if args.suite == "ot":
             from .verify_ot import run_ot_verification
 
+            # --reps counts the random instances of the KR-surrogate check
             instances = 200 if args.reps is None else args.reps
             report = run_ot_verification(seed=args.seed, instances=instances)
             print(report["text"])

@@ -9,17 +9,20 @@ estimate and each bootstrap resample go through the same function. The TV
 distances likewise share `tv_pmfs`, whose pmf arguments `integer_pmfs` and
 `poisson_pmfs` build from samples, so a bootstrap can resample histograms.
 
-`ot_exact` is the certified general solver: a HiGHS transportation LP that
-returns dual potentials certifying optimality. Acceptance criterion A1 and
-`pplab verify --suite ot` require its exact agreement with brute-force
-enumeration on small instances, so no regularized solver is used anywhere.
-
 The empirical KR surrogate (`empirical_kr`) transports uniform weights
-between two equally sized samples of configurations. That problem has a
-permutation optimum, so it is solved exactly as an assignment problem on the
-integer configuration-TV cost matrix, without the LP. For diffuse
+between two equally sized samples of configurations, each given as a side
+``(points, counts)`` in the ragged layout of the other scenarios.  That
+problem has a permutation optimum, so it is solved exactly as an
+assignment problem (`_assignment_cost`) on the integer configuration-TV
+cost matrix (`_tv_cost_matrix`); acceptance criterion A1 and `pplab verify
+--suite ot` check both against brute-force enumeration.  For diffuse
 configurations the TV cost depends only on the point counts, so the
 surrogate compares count laws, not locations.
+
+`ot_exact`, a HiGHS transportation LP that returns dual potentials
+certifying optimality, is on no scenario path: it stays because
+`perfbench/tracer.py` wraps it by name, and the tests check it against
+enumeration oracles.
 """
 
 from __future__ import annotations
@@ -130,41 +133,45 @@ def wasserstein1(pmf, cdf) -> float:
     return float(np.abs(np.cumsum(pmf) - cdf).sum())
 
 
-def _tv_cost_matrix(configs_a, configs_b) -> np.ndarray:
-    """Integer matrix of total variation distances between two lists of
-    finite counting measures.
+def _multiplicities(ids: np.ndarray, counts, n_locations: int):
+    """Sparse (configuration x location) multiplicity matrix of a side whose
+    points carry the location ids ``ids``; repeated entries are summed."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return sparse.csr_array((np.ones(len(ids), dtype=np.int64), (rows, ids)), shape=(len(counts), n_locations))
 
-    Atoms match only at bit-identical locations. Entry (i, j) is the larger of
-    the two unmatched point counts, max(|a_i|, |b_j|) - matched(i, j),
-    which realizes the supremum over measurable sets; matched(i, j) sums
-    the smaller multiplicity over the keys the two configurations share.
+
+def _tv_cost_matrix(side_a, side_b) -> np.ndarray:
+    """Integer matrix of total variation distances between the configurations
+    of two sides.
+
+    Atoms match only at identical locations, so entry (i, j) is the
+    larger of the two unmatched point counts, max(|a_i|, |b_j|) -
+    matched(i, j), which realizes the supremum over measurable sets.
+    matched(i, j) sums the smaller multiplicity over the locations both
+    configurations hold, that is, over k >= 1, the locations where both
+    multiplicities reach k: one sparse product per multiplicity level.
     """
-    if len({c.space for c in configs_a} | {c.space for c in configs_b}) > 1:
+    (points_a, counts_a), (points_b, counts_b) = side_a, side_b
+    if points_a.shape[1:] != points_b.shape[1:]:
         raise ValueError("configurations live on different spaces")
-    totals_a = np.array([c.total() for c in configs_a], dtype=np.int64)
-    totals_b = np.array([c.total() for c in configs_b], dtype=np.int64)
-    by_key_b: dict = {}
-    for j, cb in enumerate(configs_b):
-        for loc, mult in cb.atoms.items():
-            by_key_b.setdefault(loc, []).append((j, mult))
-    by_key_a: dict = {}
-    for i, ca in enumerate(configs_a):
-        for loc, mult in ca.atoms.items():
-            if loc in by_key_b:
-                by_key_a.setdefault(loc, []).append((i, mult))
-    matched = np.zeros((len(configs_a), len(configs_b)), dtype=np.int64)
-    for loc, atoms_a in by_key_a.items():
-        rows, mults_a = zip(*atoms_a)
-        cols, mults_b = zip(*by_key_b[loc])
-        # a key occurs once per configuration, so no index repeats in a block
-        matched[np.ix_(rows, cols)] += np.minimum.outer(mults_a, mults_b)
-    return np.maximum.outer(totals_a, totals_b) - matched
+    locations, ids = np.unique(np.concatenate([points_a, points_b]), axis=0, return_inverse=True)
+    ids = ids.ravel()
+    mult_a = _multiplicities(ids[: len(points_a)], counts_a, len(locations))
+    mult_b = _multiplicities(ids[len(points_a) :], counts_b, len(locations))
+    matched = np.zeros((len(counts_a), len(counts_b)), dtype=np.int64)
+    for k in range(1, min(mult_a.data.max(initial=0), mult_b.data.max(initial=0)) + 1):
+        matched += ((mult_a >= k).astype(np.int64) @ (mult_b >= k).T.astype(np.int64)).toarray()
+    return np.maximum.outer(counts_a, counts_b) - matched
 
 
 def config_tv_cost(omega1: Configuration, omega2: Configuration) -> float:
     """Total variation distance between two finite counting measures: the
-    one-entry case of `_tv_cost_matrix`."""
-    return float(_tv_cost_matrix([omega1], [omega2])[0, 0])
+    larger of the two point counts left unmatched when atoms match only at
+    equal locations."""
+    if omega1.space != omega2.space:
+        raise ValueError("configurations live on different spaces")
+    matched = sum(min(mult, omega2.atoms.get(loc, 0)) for loc, mult in omega1)
+    return float(max(omega1.total(), omega2.total()) - matched)
 
 
 @dataclass
@@ -260,47 +267,44 @@ class KrEstimate:
     noise_floor_std: float
 
 
-def _uniform_ot_cost(configs_a, configs_b) -> float:
-    """Optimal transport cost between the uniform measures on two equally
-    sized lists of configurations, with configuration TV as ground cost.
+def _assignment_cost(cost: np.ndarray) -> float:
+    """Optimal transport cost between the uniform measures on the rows and
+    on the columns of a square integer cost matrix.
 
     A uniform square transport problem has a permutation optimum
     (Birkhoff-von Neumann), so the assignment solver is exact; the costs are
     integers, so the value is one correctly rounded division.
     """
-    n = len(configs_a)
-    if len(configs_b) != n:
+    n = len(cost)
+    if cost.shape != (n, n):
         raise ValueError("both collections must have the same size")
-    cost = _tv_cost_matrix(configs_a, configs_b)
     rows, cols = linear_sum_assignment(cost)
     return int(cost[rows, cols].sum()) / n
 
 
-def empirical_kr(
-    samples_a: list[Configuration],
-    samples_b: list[Configuration],
-    n_splits: int = 8,
-) -> KrEstimate:
-    """Transport distance between the uniform empirical measures over two
-    equally sized collections of configurations, with configuration TV as
-    the ground cost.
+def empirical_kr(side_a, side_b, n_splits: int = 8) -> KrEstimate:
+    """Transport distance between the uniform empirical measures over the
+    configurations of two equally sized sides, with configuration TV as the
+    ground cost.
 
-    The noise floor is the same statistic between two halves of the first
-    collection, averaged over deterministic reshuffles.
+    A side is ``(points, counts)``: the points of consecutive configurations,
+    ``counts[i]`` of them in configuration i.  The noise floor is the same
+    statistic between two halves of the first side, averaged over
+    deterministic reshuffles; each split is a submatrix of one A-A cost
+    matrix.
     """
-    n = len(samples_a)
-    if len(samples_b) != n:
+    n = len(side_a[1])
+    if len(side_b[1]) != n:
         raise ValueError("both collections must have the same size")
     if n < 100:
         raise ValueError("need at least 100 configurations per side")
-    estimate = _uniform_ot_cost(samples_a, samples_b)
+    estimate = _assignment_cost(_tv_cost_matrix(side_a, side_b))
+    within = _tv_cost_matrix(side_a, side_a)
     half = n // 2
     floors = []
     for s in range(n_splits):
         order = np.random.default_rng(971 + s).permutation(n)
-        first = [samples_a[i] for i in order[:half]]
-        second = [samples_a[i] for i in order[half : 2 * half]]
-        floors.append(_uniform_ot_cost(first, second))
+        floors.append(_assignment_cost(within[np.ix_(order[:half], order[half : 2 * half])]))
     floors = np.asarray(floors)
     return KrEstimate(
         estimate=float(estimate),

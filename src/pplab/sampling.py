@@ -34,16 +34,21 @@ def _runs(counts):
         lo = hi
 
 
-def sample_poisson(domain: Domain, t: float, rng: np.random.Generator) -> Configuration:
-    """Poisson sample with intensity t times the domain's reference measure.
+def poisson_points(domain: Domain, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson sample with intensity t times the domain's reference measure,
+    as an ``(n, dim)`` array.
 
     The point count is Poisson(t * mass); locations are i.i.d. from the
     normalized reference measure.
     """
     if t < 0:
         raise ValueError("intensity multiplier must be nonnegative")
-    n = rng.poisson(t * domain.mass)
-    return Configuration.from_array(domain.sample(rng, n), space=domain.space_tag)
+    return domain.sample(rng, rng.poisson(t * domain.mass))
+
+
+def sample_poisson(domain: Domain, t: float, rng: np.random.Generator) -> Configuration:
+    """`poisson_points` as a configuration."""
+    return Configuration.from_array(poisson_points(domain, t, rng), space=domain.space_tag)
 
 
 def sample_binomial(domain: Domain, n: int, rng: np.random.Generator) -> Configuration:

@@ -15,9 +15,10 @@ run's statistics from one ragged `transform` call; a flats block draws its
 flat counts and base radii, then each run's flats.  `flats` grid point i
 draws from (seed, i, b) and `mecke-verify` check c from (seed, c, b).
 `gilbert-midpoints` and `kr-estimate` use blocks of one replication
-through `rng.replicate`.  Draws made once per grid point or per side
-(target samples, side-B configurations, bootstraps) stay sequential on
-their own single streams.
+through `rng.replicate`, and hand their configurations to
+`metrics.empirical_kr` as ragged ``(points, counts)`` sides.  Draws made
+once per grid point or per side (target samples, side-B configurations,
+bootstraps) stay sequential on their own single streams.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import bounds as bnd
 from . import glauber as glb
 from . import metrics, sampling, transform
-from .configuration import Configuration
+from .configuration import Configuration  # noqa: F401 (perfbench/selftest.py reads it here)
 from .geometry import Domain, unit_ball_volume
 from .laws import PoissonLaw
 from .rng import derive_rng, replicate, replicate_blocks, worker_pool
@@ -51,6 +52,8 @@ _PARAMS = {
 SCENARIO_NAMES = tuple(_PARAMS)
 
 DISTANCE_SCENARIOS = ("gilbert-edges", "gilbert-lengths", "distance-power", "polytope")
+# runners that read one t (glauber-verify reads none): a longer grid would be dropped
+ONE_POINT_GRID_SCENARIOS = ("glauber-verify", "mecke-verify", "kr-estimate")
 
 
 @dataclass
@@ -77,6 +80,8 @@ class ScenarioConfig:
         grid = list(self.t_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nonempty and strictly increasing")
+        if self.scenario in ONE_POINT_GRID_SCENARIOS and len(grid) > 1:
+            raise ValueError(f"{self.scenario} takes a one-point t_grid, got {len(grid)} points")
         self._check_reps(self.reps)
         for t, reps in self.params.get("reps_by_t", {}).items():
             if float(t) not in grid:
@@ -174,6 +179,12 @@ def _kr_rows(cfg, t, statistic, kr, bound, bound_form, rate_pred=None) -> list:
              bound, bound_form, rate_pred, passed=ok),
         _row(cfg, t, statistic, "kr-noise-floor", kr.noise_floor, kr.noise_floor_std),
     ]
+
+
+def _side(point_sets, d) -> tuple:
+    """The ``(points, counts)`` side of `metrics.empirical_kr` holding the
+    configurations ``point_sets``, each an ``(n_i, d)`` array."""
+    return np.concatenate(point_sets).reshape(-1, d), np.array([len(p) for p in point_sets])
 
 
 def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
@@ -463,16 +474,11 @@ def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
     for t in cfg.t_grid:
         theta = t ** (-1.0 / d)  # keeps t^2 theta^d growing
         cutoff = min(theta, a * t ** (-2.0 / d))
-        space = f"midpoints({d})"
         args = (d, t, transform.pair_midpoints, (cutoff,))
-        mids = replicate(_cube_stat, args, n_configs, cfg.seed)
-        side_a = [Configuration.from_array(m, space=space) for m in mids]
+        side_a = _side(replicate(_cube_stat, args, n_configs, cfg.seed), d)
         mass = 0.5 * kd * a**d
         rng_b = derive_rng(cfg.seed, 888_001)
-        side_b = [
-            Configuration.from_array(rng_b.uniform(size=(rng_b.poisson(mass), d)), space=space)
-            for _ in range(n_configs)
-        ]
+        side_b = _side([rng_b.uniform(size=(rng_b.poisson(mass), d)) for _ in range(n_configs)], d)
         kr = metrics.empirical_kr(side_a, side_b)
         a_tilde = a * t ** (-2.0 / d)
         bound = bnd.thm_main_bound(
@@ -629,28 +635,17 @@ def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
     n_configs = int(cfg.params.get("n_configs", 300))
     mode = cfg.params.get("mode", "identity-mapping")
     domain = Domain("cube", d)
-    space = f"pushforward({d})"
     if mode == "identity-mapping":
-        kernel = transform.identity_kernel(target_space=space)
-        side_a = [transform.induce(mu, kernel) for mu in
-                  replicate(sampling.sample_poisson, (domain, t), n_configs, cfg.seed, 3)]
+        # the identity map leaves each configuration as drawn
+        side_a = _side(replicate(sampling.poisson_points, (domain, t), n_configs, cfg.seed, 3), d)
         rng_b = derive_rng(cfg.seed, 4)
-        side_b = [
-            Configuration.from_array(
-                domain.sample(rng_b, rng_b.poisson(t * domain.mass)), space=space
-            )
-            for _ in range(n_configs)
-        ]
+        side_b = _side([sampling.poisson_points(domain, t, rng_b) for _ in range(n_configs)], d)
     elif mode == "poisson-counts":
+        # every atom sits at 0
         lam = float(cfg.params.get("lam", 1.0))
         rng = derive_rng(cfg.seed, 5)
-
-        def count_config():
-            n = int(rng.poisson(lam))
-            return Configuration({0.0: n} if n else {}, space="counts")
-
-        side_a = [count_config() for _ in range(n_configs)]
-        side_b = [count_config() for _ in range(n_configs)]
+        side_a = _side([np.zeros((rng.poisson(lam), 1)) for _ in range(n_configs)], 1)
+        side_b = _side([np.zeros((rng.poisson(lam), 1)) for _ in range(n_configs)], 1)
     else:
         raise ValueError(f"unknown kr-estimate mode {mode!r}")
     kr = metrics.empirical_kr(side_a, side_b)

@@ -55,10 +55,6 @@ class SymmetricKernel:
         return bool(self.dom(pts))
 
 
-def identity_kernel(target_space: str = "") -> SymmetricKernel:
-    return SymmetricKernel(k=1, fn=lambda pts: pts[0], target_space=target_space)
-
-
 def induce(config: Configuration, kernel: SymmetricKernel) -> Configuration:
     """Point process of kernel values over unordered k-subsets of distinct points.
 

@@ -7,7 +7,9 @@ the stored d = 2 pair-integral constants, a least-squares solver for the
 closed-form line-pair distances, per-replication ``Configuration``
 simulators and the exact time-s count law for the block samplers of
 ``pplab.glauber``, one-tuple Mecke test functions for the ragged block
-sides of ``pplab.sampling``, readers for the emitted files).
+sides of ``pplab.sampling``, spanning-tree vertex enumeration for the
+transportation LP ``pplab.metrics.ot_exact``, readers for the emitted
+files).
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ GENERAL_POSITION_TOL = 1e-10
 
 def _dist(pts) -> float:
     return np.linalg.norm(np.asarray(pts[0]) - np.asarray(pts[1]))
+
+
+def identity_kernel(target_space: str = "") -> SymmetricKernel:
+    return SymmetricKernel(k=1, fn=lambda pts: pts[0], target_space=target_space)
 
 
 def distance_kernel(cutoff: float | None = None) -> SymmetricKernel:
@@ -401,3 +407,76 @@ def parse_csv(path) -> list[dict]:
 def parse_json(path) -> list[dict]:
     with open(path) as fh:
         return [_typed(rec) for rec in json.load(fh)]
+
+
+# ---------------------------------------------------------------------------
+# The general-marginal oracle of the transportation LP ``metrics.ot_exact``.
+# ---------------------------------------------------------------------------
+
+
+def tree_vertex_ot_cost(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """Minimum over all basic feasible solutions (spanning-tree supports)."""
+    n, m = cost.shape
+    all_edges = [(i, j) for i in range(n) for j in range(m)]
+    best = np.inf
+    need = n + m - 1
+    for edge_set in combinations(range(len(all_edges)), need):
+        edges = [all_edges[k] for k in edge_set]
+        if not _is_spanning_tree(n, m, edges):
+            continue
+        flows = _solve_tree(n, m, edges, mu, nu)
+        if flows is None or min(flows) < -1e-12:
+            continue
+        val = sum(f * cost[i, j] for f, (i, j) in zip(flows, edges))
+        best = min(best, val)
+    return float(best)
+
+
+def _is_spanning_tree(n, m, edges) -> bool:
+    parent = list(range(n + m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        a, b = find(i), find(n + j)
+        if a == b:
+            return False
+        parent[a] = b
+    root = find(0)
+    return all(find(v) == root for v in range(n + m))
+
+
+def _solve_tree(n, m, edges, mu, nu):
+    # balance[v]: remaining supply (rows positive, columns negative)
+    balance = list(mu) + [-v for v in nu]
+    adj = {v: set() for v in range(n + m)}
+    for e_idx, (i, j) in enumerate(edges):
+        adj[i].add(e_idx)
+        adj[n + j].add(e_idx)
+    endpoints = [(i, n + j) for i, j in edges]
+    flows = [0.0] * len(edges)
+    order = [v for v in range(n + m) if len(adj[v]) == 1]
+    alive = [True] * (n + m)
+    while order:
+        v = order.pop()
+        if not alive[v] or not adj[v]:
+            alive[v] = False
+            continue
+        e_idx = next(iter(adj[v]))
+        a, b = endpoints[e_idx]
+        w = b if v == a else a
+        # the edge must carry v's whole remaining balance
+        f = balance[v] if v < n else -balance[v]
+        flows[e_idx] = f
+        balance[v] = 0.0
+        balance[w] -= f if w < n else -f
+        adj[v].discard(e_idx)
+        adj[w].discard(e_idx)
+        alive[v] = False
+        if len(adj[w]) == 1:
+            order.append(w)
+    return flows

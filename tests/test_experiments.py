@@ -76,6 +76,15 @@ def test_distance_power_threshold_t_must_be_on_grid():
                    params={**params, "threshold_t": 100.0}).validate()
 
 
+@pytest.mark.parametrize("scenario", ["glauber-verify", "mecke-verify", "kr-estimate"])
+def test_one_point_grid_scenarios_reject_longer_grids(scenario):
+    # these runners read one t (glauber-verify none), so the other points of
+    # a longer grid would be dropped without a word
+    with pytest.raises(ValueError, match="one-point t_grid"):
+        ScenarioConfig.from_dict({"scenario": scenario, "t_grid": [1.0, 3.0, 10.0]})
+    ScenarioConfig.from_dict({"scenario": scenario, "t_grid": [10.0]})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(scenario="nope").validate()
@@ -408,6 +417,43 @@ def test_cli_verify_ot_suite():
     proc = _run_cli("verify", "--suite", "ot", "--reps", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_ot_verification_instances_cover_empty_and_shared_atoms():
+    from pplab.verify_ot import run_ot_verification
+
+    report = run_ot_verification(seed=0, instances=200)
+    assert report["passed"]
+    assert report["empty_configs"] > 0
+    assert 0 < report["shared_entries"] < report["cost_entries"]
+
+
+def _second_best_assignment(cost):
+    """The cheapest permutation that is not optimal (the optimum when every
+    permutation ties), in the return form of ``linear_sum_assignment``."""
+    from itertools import permutations
+
+    n = len(cost)
+    totals = {p: cost[np.arange(n), list(p)].sum() for p in permutations(range(n))}
+    best = min(totals.values())
+    worse = [p for p in totals if totals[p] > best]
+    pick = min(worse, key=totals.get) if worse else min(totals, key=totals.get)
+    return np.arange(n), np.array(pick)
+
+
+@pytest.mark.parametrize(
+    "attr, broken",
+    [
+        ("linear_sum_assignment", _second_best_assignment),
+        # atoms at the same location no longer match
+        ("_tv_cost_matrix", lambda side_a, side_b: np.maximum.outer(side_a[1], side_b[1])),
+    ],
+    ids=["second-best-permutation", "cost-ignores-coincident-atoms"],
+)
+def test_ot_verification_negative_controls(monkeypatch, capsys, attr, broken):
+    monkeypatch.setattr(metrics, attr, broken)
+    assert cli.main(["verify", "--suite", "ot"]) == 2
+    assert "FAILURES" in capsys.readouterr().out
 
 
 def test_discretized_tv_stays_in_unit_interval():

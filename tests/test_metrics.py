@@ -220,12 +220,19 @@ def test_config_tv_subset_enumeration_oracle():
 def test_config_tv_space_mismatch():
     with pytest.raises(ValueError):
         config_tv_cost(Configuration(space="a"), Configuration(space="b"))
-    a = [Configuration({0.0: 1}, space="a") for _ in range(100)]
-    b = [Configuration({0.0: 1}, space="b") for _ in range(100)]
+    line = _side([Configuration({0.0: 1}) for _ in range(100)], 1)
+    plane = _side([Configuration({(0.0, 0.0): 1}) for _ in range(100)], 2)
     with pytest.raises(ValueError, match="different spaces"):
-        empirical_kr(a, b)
+        empirical_kr(line, plane)
     with pytest.raises(ValueError, match="different spaces"):
-        empirical_kr(a[:99] + b[:1], a)
+        metrics._tv_cost_matrix(plane, line)
+
+
+def _side(configs, d) -> tuple:
+    """The ``(points, counts)`` side holding ``configs``, whose locations are
+    scalars (d = 1) or d-tuples."""
+    points = [np.reshape(np.asarray(c.points(), dtype=float), (-1, d)) for c in configs]
+    return np.concatenate(points).reshape(-1, d), np.array([c.total() for c in configs])
 
 
 def _pairwise_tv_loop(configs_a, configs_b) -> np.ndarray:
@@ -264,6 +271,7 @@ def _diffuse_configs(rng, n, mean):
 
 
 def _transport_layouts():
+    """name -> (configurations A, configurations B, dimension)."""
     rng = derive_rng(67)
     mixed_a = _mixed_configs(rng, 40)
     # half copies: every atom of a copy is shared with its original
@@ -273,22 +281,26 @@ def _transport_layouts():
     counts_b = _count_configs(2.5, 30, 69)
     empties = [Configuration(space="cube(2)") for _ in range(3)]
     return {
-        "mixed": (mixed_a, mixed_b),
-        "diffuse": (diffuse, _diffuse_configs(rng, 25, 3.0)),
-        "diffuse-copies": (diffuse, [c.copy() for c in diffuse[::-1]]),
-        "counts": (counts_a, counts_b),
-        "empty": (empties, diffuse[:5] + empties),
+        "mixed": (mixed_a, mixed_b, 1),
+        "diffuse": (diffuse, _diffuse_configs(rng, 25, 3.0), 2),
+        "diffuse-copies": (diffuse, [c.copy() for c in diffuse[::-1]], 2),
+        "counts": (counts_a, counts_b, 1),
+        "empty": (empties, diffuse[:5] + empties, 2),
+        "all-empty": (empties, empties[:2], 2),
     }
 
 
-@pytest.mark.parametrize("layout", ["mixed", "diffuse", "diffuse-copies", "counts", "empty"])
+@pytest.mark.parametrize("layout", ["mixed", "diffuse", "diffuse-copies", "counts", "empty", "all-empty"])
 def test_tv_cost_matrix_matches_pairwise_loop(layout):
-    a, b = _transport_layouts()[layout]
-    cost = metrics._tv_cost_matrix(a, b)
+    a, b, d = _transport_layouts()[layout]
+    side_a, side_b = _side(a, d), _side(b, d)
+    if layout.endswith("empty"):
+        assert side_a[0].shape == (0, d)
+    cost = metrics._tv_cost_matrix(side_a, side_b)
     assert np.issubdtype(cost.dtype, np.integer)
     assert cost.shape == (len(a), len(b))
     assert (cost == _pairwise_tv_loop(a, b)).all()
-    for i, j in [(0, 0), (len(a) - 1, len(b) - 1), (1, 2)]:
+    for i, j in [(0, 0), (len(a) - 1, len(b) - 1), (1, 1)]:
         assert config_tv_cost(a[i], b[j]) == _pairwise_tv_loop([a[i]], [b[j]])[0, 0]
 
 
@@ -300,23 +312,22 @@ def test_uniform_ot_cost_matches_lp(n):
         b = [c.copy() for c in a[: n // 3]] + _mixed_configs(rng, n - n // 3)
         uniform = np.full(n, 1.0 / n)
         lp = ot_exact(_pairwise_tv_loop(a, b), uniform, uniform).cost
-        assert metrics._uniform_ot_cost(a, b) == pytest.approx(lp, abs=1e-12)
+        cost = metrics._tv_cost_matrix(_side(a, 1), _side(b, 1))
+        assert metrics._assignment_cost(cost) == pytest.approx(lp, abs=1e-12)
 
 
 def test_uniform_ot_cost_sorted_closed_forms():
     # diffuse configurations share no atom: the cost is max(|a|, |b|)
     rng = derive_rng(71)
-    a = _diffuse_configs(rng, 120, 3.0)
-    b = _diffuse_configs(rng, 120, 4.0)
-    na = np.sort([c.total() for c in a])
-    nb = np.sort([c.total() for c in b])
-    assert metrics._uniform_ot_cost(a, b) == np.mean(np.maximum(na, nb))
+    a = _side(_diffuse_configs(rng, 120, 3.0), 2)
+    b = _side(_diffuse_configs(rng, 120, 4.0), 2)
+    na, nb = np.sort(a[1]), np.sort(b[1])
+    assert metrics._assignment_cost(metrics._tv_cost_matrix(a, b)) == np.mean(np.maximum(na, nb))
     # every atom at 0.0 (the poisson-counts layout): the cost is | |a| - |b| |
-    a = _count_configs(1.0, 120, 72)
-    b = _count_configs(2.0, 120, 73)
-    na = np.sort([c.total() for c in a])
-    nb = np.sort([c.total() for c in b])
-    assert metrics._uniform_ot_cost(a, b) == np.mean(np.abs(na - nb))
+    a = _side(_count_configs(1.0, 120, 72), 1)
+    b = _side(_count_configs(2.0, 120, 73), 1)
+    na, nb = np.sort(a[1]), np.sort(b[1])
+    assert metrics._assignment_cost(metrics._tv_cost_matrix(a, b)) == np.mean(np.abs(na - nb))
 
 
 # --- exact optimal transport --------------------------------------------------
@@ -339,7 +350,7 @@ def test_ot_permutation_oracle_n3():
 
 
 def test_ot_vertex_oracle_n4():
-    from pplab.verify_ot import tree_vertex_ot_cost
+    from oracles import tree_vertex_ot_cost
 
     rng = derive_rng(54)
     for _ in range(10):
@@ -370,36 +381,50 @@ def _count_configs(lam, n, seed):
     return out
 
 
+def _count_side(lam, n, seed):
+    return _side(_count_configs(lam, n, seed), 1)
+
+
 def test_empirical_kr_copy_is_zero():
-    samples = _count_configs(1.0, 120, 55)
-    kr = empirical_kr(samples, [c.copy() for c in samples])
+    points, counts = _count_side(1.0, 120, 55)
+    kr = empirical_kr((points, counts), (points.copy(), counts.copy()))
     assert kr.estimate == pytest.approx(0.0, abs=1e-10)
 
 
 def test_empirical_kr_same_law_within_floor():
-    a = _count_configs(1.0, 150, 56)
-    b = _count_configs(1.0, 150, 57)
-    kr = empirical_kr(a, b)
+    kr = empirical_kr(_count_side(1.0, 150, 56), _count_side(1.0, 150, 57))
     assert kr.estimate <= kr.noise_floor + 3 * kr.noise_floor_std
 
 
 def test_empirical_kr_dominates_tv_lower_bound():
-    a = _count_configs(1.0, 150, 58)
-    b = _count_configs(3.0, 150, 59)
+    a = _count_side(1.0, 150, 58)
+    b = _count_side(3.0, 150, 59)
     kr = empirical_kr(a, b)
-    counts_a = np.array([c.total() for c in a])
-    counts_b = np.array([c.total() for c in b])
-    tv = tv_integer(counts_a, counts_b)
+    tv = tv_integer(a[1], b[1])
     assert kr.estimate >= tv - 3 * kr.noise_floor_std
 
 
+def test_empirical_kr_floor_splits_one_within_matrix():
+    # each noise-floor split is a submatrix of the one A-A cost matrix: the
+    # same integers as the cost matrix of the two halves built afresh
+    configs = _mixed_configs(derive_rng(74), 120)
+    floors = []
+    for s in range(8):
+        order = np.random.default_rng(971 + s).permutation(120)
+        halves = [_side([configs[i] for i in order[lo : lo + 60]], 1) for lo in (0, 60)]
+        floors.append(metrics._assignment_cost(metrics._tv_cost_matrix(*halves)))
+    assert empirical_kr(_side(configs, 1), _side(configs, 1)).noise_floor == np.mean(floors)
+
+
 def test_empirical_kr_rejects_small_or_mismatched():
-    a = _count_configs(1.0, 50, 60)
+    a = _count_side(1.0, 50, 60)
     with pytest.raises(ValueError):
         empirical_kr(a, a)
-    b = _count_configs(1.0, 120, 61)
+    points, counts = _count_side(1.0, 120, 61)
     with pytest.raises(ValueError):
-        empirical_kr(b, b[:-1] + [])
+        empirical_kr((points, counts), (points[: counts[:-1].sum()], counts[:-1]))
+    with pytest.raises(ValueError):
+        empirical_kr((points, counts), (points[:-1], counts))
 
 
 # --- analytic laws --------------------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import (
     distance_kernel,
     distance_power_kernel,
     edge_midpoint_process,
+    identity_kernel,
     midpoint_kernel,
     u_statistic_count,
     u_statistic_sum,
@@ -22,7 +23,6 @@ from pplab.transform import (
     _pair_distances_within,
     _pairs_within,
     antipodal_pairs,
-    identity_kernel,
     induce,
     max_pair_distance,
     pair_count_within,
