@@ -282,14 +282,14 @@ def _assignment_cost(cost: np.ndarray) -> float:
     return int(cost[rows, cols].sum()) / n
 
 
-def empirical_kr(side_a, side_b, n_splits: int = 8) -> KrEstimate:
+def empirical_kr(side_a, side_b) -> KrEstimate:
     """Transport distance between the uniform empirical measures over the
     configurations of two equally sized sides, with configuration TV as the
     ground cost.
 
     A side is ``(points, counts)``: the points of consecutive configurations,
     ``counts[i]`` of them in configuration i.  The noise floor is the same
-    statistic between two halves of the first side, averaged over
+    statistic between two halves of the first side, averaged over eight
     deterministic reshuffles; each split is a submatrix of one A-A cost
     matrix.
     """
@@ -302,12 +302,12 @@ def empirical_kr(side_a, side_b, n_splits: int = 8) -> KrEstimate:
     within = _tv_cost_matrix(side_a, side_a)
     half = n // 2
     floors = []
-    for s in range(n_splits):
+    for s in range(8):
         order = np.random.default_rng(971 + s).permutation(n)
         floors.append(_assignment_cost(within[np.ix_(order[:half], order[half : 2 * half])]))
     floors = np.asarray(floors)
     return KrEstimate(
         estimate=float(estimate),
         noise_floor=float(floors.mean()),
-        noise_floor_std=float(floors.std(ddof=1)) if n_splits > 1 else 0.0,
+        noise_floor_std=float(floors.std(ddof=1)),
     )

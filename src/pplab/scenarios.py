@@ -17,15 +17,19 @@ draws from (seed, i, b) and `mecke-verify` check c from (seed, c, b).
 `gilbert-midpoints` and `kr-estimate` use blocks of one replication
 through `rng.replicate`, and hand their configurations to
 `metrics.empirical_kr` as ragged ``(points, counts)`` sides.  Draws made
-once per grid point or per side (target samples, side-B configurations,
-bootstraps) stay sequential on their own single streams.
+once per grid point or per side (target samples, side-B configurations)
+stay sequential on their own single streams.  Every error bar on a 1-D
+distance comes from the one `_bootstrap_se`, and each call names the
+stream it draws from: (seed, 77 003) at every t of `gilbert-edges` and
+`distance-power`, (seed + grid index, 77 003) in `gilbert-lengths`, and
+(seed, 77 004, j) for TV row j of `glauber-verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, sqrt
-from numbers import Real
+from math import exp, isfinite, sqrt
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,15 +43,15 @@ from .rng import derive_rng, replicate, replicate_blocks, worker_pool
 
 # the params keys each runner reads; any other key is a configuration error
 _PARAMS = {
-    "gilbert-edges": ("lam", "n_boot"),
-    "gilbert-lengths": ("b", "lam", "cells", "tv_threshold", "target_factor", "n_boot"),
+    "gilbert-edges": ("lam",),
+    "gilbert-lengths": ("b", "lam", "cells", "tv_threshold"),
     "gilbert-midpoints": ("a", "n_configs"),
-    "distance-power": ("tau", "dk_threshold", "threshold_t", "n_boot"),
+    "distance-power": ("tau", "dk_threshold", "threshold_t"),
     "flats": ("m", "a", "ball_radius", "constant_mc_samples"),
     "polytope": ("a", "gap_threshold", "reps_by_t"),
-    "glauber-verify": ("mass", "s_tv", "s_grid", "commutation_s", "commutation_reps"),
-    "mecke-verify": ("n", "radius"),
-    "kr-estimate": ("mode", "n_configs", "lam"),
+    "glauber-verify": ("mass", "s_grid", "commutation_s", "commutation_reps"),
+    "mecke-verify": ("n",),
+    "kr-estimate": ("mode", "n_configs"),
 }
 SCENARIO_NAMES = tuple(_PARAMS)
 
@@ -78,15 +82,20 @@ class ScenarioConfig:
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         grid = list(self.t_grid)
+        if not all(isfinite(t) and t > 0 for t in grid):
+            raise ValueError("t_grid entries must be positive and finite")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be nonempty and strictly increasing")
         if self.scenario in ONE_POINT_GRID_SCENARIOS and len(grid) > 1:
             raise ValueError(f"{self.scenario} takes a one-point t_grid, got {len(grid)} points")
         self._check_reps(self.reps)
-        for t, reps in self.params.get("reps_by_t", {}).items():
+        reps_by_t = self.params.get("reps_by_t", {})
+        if not isinstance(reps_by_t, dict):
+            raise ValueError("reps_by_t must be an object")
+        for t, reps in reps_by_t.items():
             if float(t) not in grid:
                 raise ValueError(f"reps_by_t key {t!r} is not in t_grid")
-            self._check_reps(int(reps))
+            self._check_reps(_as_int(reps, f"reps_by_t[{t!r}]"))
         if self.scenario == "distance-power" and "threshold_t" in self.params:
             # an unmatched threshold_t would leave the threshold unchecked
             threshold_t = float(self.params["threshold_t"])
@@ -108,18 +117,27 @@ class ScenarioConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         try:
-            cfg = cls(
-                scenario=data.get("scenario", ""),
-                d=int(data.get("d", 2)),
-                t_grid=tuple(data.get("t_grid", (50.0,))),
-                reps=int(data.get("reps", 1000)),
-                seed=int(data.get("seed", 0)),
-                params=data.get("params", {}),
-            )
-        except TypeError:  # int() of a list, or a t_grid that is not a list
-            raise ValueError("d, reps and seed must be integers, t_grid a list") from None
+            t_grid = tuple(data.get("t_grid", (50.0,)))
+        except TypeError:
+            raise ValueError("t_grid must be a list") from None
+        cfg = cls(
+            scenario=data.get("scenario", ""),
+            d=_as_int(data.get("d", 2), "d"),
+            t_grid=t_grid,
+            reps=_as_int(data.get("reps", 1000), "reps"),
+            seed=_as_int(data.get("seed", 0), "seed"),
+            params=data.get("params", {}),
+        )
         cfg.validate()
         return cfg
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; a bool, a non-number or a fraction is an error, never truncated."""
+    integral = isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -298,36 +316,15 @@ def _count_close_line_pairs(frames, eps, ball_radius) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_se(values: np.ndarray, statistic, n_boot: int, seed: int) -> float:
-    rng = derive_rng(seed, 77_003)
-    n = len(values)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        stats[b] = statistic(values[rng.integers(0, n, size=n)])
-    return float(stats.std(ddof=1))
+def _bootstrap_se(resampled, rng: np.random.Generator, n_boot: int) -> float:
+    """Bootstrap standard error: the ddof=1 spread of ``resampled(rng)``, the
+    statistic on one resample drawn from ``rng``, over ``n_boot`` resamples.
 
-
-def _bootstrap_se_pmfs(samples, statistic, n_boot: int, rng: np.random.Generator) -> float:
-    """Bootstrap spread of ``statistic(*pmfs)``, where each ``(pmf, n)`` of
-    ``samples`` is the empirical pmf of n i.i.d. integer draws.  A resample
-    redraws each histogram multinomially, which is i.i.d. resampling of the
-    draws at O(bins) instead of O(n) cost."""
-    out = np.empty(n_boot)
-    for b in range(n_boot):
-        out[b] = statistic(*(rng.multinomial(n, p) / n for p, n in samples))
-    return float(out.std(ddof=1))
-
-
-def _bootstrap_se_poisson_w1(counts: np.ndarray, cdf: np.ndarray, n_boot: int, seed: int) -> float:
-    """Bootstrap spread of `metrics.wasserstein1` against ``cdf``."""
-    pmf = np.zeros(len(cdf))
-
-    def w1(resampled):
-        pmf[: len(resampled)] = resampled
-        return metrics.wasserstein1(pmf, cdf)
-
-    n = len(counts)
-    return _bootstrap_se_pmfs([(np.bincount(counts) / n, n)], w1, n_boot, derive_rng(seed, 77_003))
+    A resample of n real draws takes n indices; one of an empirical pmf of n
+    integer draws redraws the histogram multinomially, which is i.i.d.
+    resampling of the draws at O(bins) instead of O(n) cost.
+    """
+    return float(np.std([resampled(rng) for _ in range(n_boot)], ddof=1))
 
 
 def _fit_loglog_slope(ts, ds):
@@ -347,18 +344,25 @@ def _fit_loglog_slope(ts, ds):
 def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
     d = cfg.d
     lam = float(cfg.params.get("lam", 1.0))
-    n_boot = int(cfg.params.get("n_boot", 200))
     target = PoissonLaw(0.5 * unit_ball_volume(d) * lam)
     rows = []
     for t in cfg.t_grid:
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
         args = (Domain("cube", d), t, transform.pair_counts_within, (theta,))
         counts = replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
+        n = counts.size
         # the grid 0..K covers the sample and all but 1e-14 of the target's mass
         k = max(int(counts.max()), int(target.ppf(1 - 1e-14)) + 2)
         cdf = target.cdf(np.arange(k + 1))
-        dw = metrics.wasserstein1(np.bincount(counts, minlength=k + 1) / counts.size, cdf)
-        se = _bootstrap_se_poisson_w1(counts, cdf, n_boot, cfg.seed)
+        dw = metrics.wasserstein1(np.bincount(counts, minlength=k + 1) / n, cdf)
+        # each resampled histogram is written into one grid-sized buffer
+        pmf, grid = np.bincount(counts) / n, np.zeros(k + 1)
+
+        def resampled_w1(rng):
+            grid[: len(pmf)] = rng.multinomial(n, pmf) / n
+            return metrics.wasserstein1(grid, cdf)
+
+        se = _bootstrap_se(resampled_w1, derive_rng(cfg.seed, 77_003), 200)
         moments = bnd.gilbert_moments(d, t, theta, mode="poisson")
         bound = bnd.ustat_poisson_bound(moments, target.lam, k=2, mode="poisson")
         rows.append(_row(cfg, t, "edge-count", "wasserstein", dw, se, bound, "moment-form",
@@ -383,25 +387,19 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
     b = float(cfg.params.get("b", 1.0))
     cells = int(cfg.params.get("cells", 64))
     tv_threshold = float(cfg.params.get("tv_threshold", 0.1))
-    # the target draws are cheap, so a larger target sample keeps the
-    # two-sample noise floor of the discretized TV below the signal
-    target_factor = int(cfg.params.get("target_factor", 10))
     limits = bnd.gilbert_limit_laws(d, lam, b=b, tau=2 * d)
     rows = []
     for idx, t in enumerate(cfg.t_grid):
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
         args = (Domain("cube", d), t, transform.pair_sums_power, (b, theta))
         stat = t ** (2.0 * b / d) * replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
-        target = limits.edge_length.sample_many(
-            derive_rng(cfg.seed, 555_001, idx), target_factor * cfg.reps
-        )
+        # the target draws are cheap, so a target sample ten times larger keeps
+        # the two-sample noise floor of the discretized TV below the signal
+        target = limits.edge_length.sample_many(derive_rng(cfg.seed, 555_001, idx), 10 * cfg.reps)
         tv = metrics.tv_discretized(stat, target, cells)
-        se = _bootstrap_se(
-            stat,
-            lambda s: metrics.tv_discretized(s, target, cells),
-            int(cfg.params.get("n_boot", 100)),
-            cfg.seed + idx,
-        )
+        n = stat.size
+        se = _bootstrap_se(lambda rng: metrics.tv_discretized(stat[rng.integers(0, n, size=n)], target, cells),
+                           derive_rng(cfg.seed + idx, 77_003), 100)
         r = bnd.r_term(d, t, theta).value
         bound = bnd.thm_main_bound(bnd.gilbert_intensity_error(d, t, theta), r, k=2)
         rows.append(_row(cfg, t, "edge-length-sum", f"tv-{cells}cell", tv, se, bound,
@@ -440,12 +438,9 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
         args = (Domain("cube", d), t, transform.pair_sums_inverse_power, (tau,))
         stat = t ** (-2.0 * tau / d) * replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
         dk = metrics.kolmogorov(stat, levy)
-        se = _bootstrap_se(
-            stat,
-            lambda s: metrics.kolmogorov(s, levy),
-            int(cfg.params.get("n_boot", 100)),
-            cfg.seed,
-        )
+        n = stat.size
+        se = _bootstrap_se(lambda rng: metrics.kolmogorov(stat[rng.integers(0, n, size=n)], levy),
+                           derive_rng(cfg.seed, 77_003), 100)
         rows.append(_row(cfg, t, "distance-power-sum", "kolmogorov", dk, se, None,
                          "constant not explicit; rate reported", rate))
     threshold_ok = next(r.distance for r in rows if abs(r.t - threshold_t) < 1e-9) < threshold
@@ -556,7 +551,7 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
 
 def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     mass = float(cfg.params.get("mass", 5.0))
-    s_tv = float(cfg.params.get("s_tv", 1.0))
+    s_tv = 1.0  # the time at which the two simulators' count laws are compared
     s_grid = tuple(cfg.params.get("s_grid", (0.5, 1.0, 2.0, 4.0, 8.0)))
     commutation_s = tuple(cfg.params.get("commutation_s", (0.5, 1.0)))
     commutation_reps = int(cfg.params.get("commutation_reps", max(2, cfg.reps // 4)))
@@ -572,7 +567,11 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     tv = metrics.tv_pmfs(pa, pb)
     # bootstrap error bars on the TV rows; the verdicts stay fixed-threshold
     n_boot = 200
-    se = _bootstrap_se_pmfs([(pa, ed.size), (pb, ex.size)], metrics.tv_pmfs, n_boot, derive_rng(cfg.seed, 77_004, 0))
+
+    def resampled_tv(rng):
+        return metrics.tv_pmfs(rng.multinomial(ed.size, pa) / ed.size, rng.multinomial(ex.size, pb) / ex.size)
+
+    se = _bootstrap_se(resampled_tv, derive_rng(cfg.seed, 77_004, 0), n_boot)
     rows = [
         _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, se, 0.02, "acceptance threshold",
              passed=tv < 0.02, d=1)
@@ -598,9 +597,9 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     monotone = all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
     for j, (s, tv_s, counts) in enumerate(table, start=1):
         emp, pois, tail = metrics.poisson_pmfs(counts, target.mass)
-        se = _bootstrap_se_pmfs(
-            [(emp, counts.size)], lambda p: metrics.tv_pmfs(p, pois, tail), n_boot, derive_rng(cfg.seed, 77_004, j)
-        )
+        n = counts.size
+        se = _bootstrap_se(lambda rng: metrics.tv_pmfs(rng.multinomial(n, emp) / n, pois, tail),
+                           derive_rng(cfg.seed, 77_004, j), n_boot)
         settled = (1 - exp(-s)) > 0.999
         rows.append(_row(cfg, s, "ergodicity", "tv-to-stationary-counts", tv_s, se,
                          0.03 if settled else None, "acceptance threshold once 1-e^-s > 0.999",
@@ -612,7 +611,7 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
 def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
     t = float(cfg.t_grid[-1])
     n = int(cfg.params.get("n", int(t)))
-    radius = float(cfg.params.get("radius", 0.1))
+    radius = 0.1  # of the test functions' neighbourhoods
     domain = Domain("cube", cfg.d)
     cases = []
     for mode in ("poisson", "binomial"):
@@ -634,20 +633,13 @@ def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
     t = float(cfg.t_grid[-1])
     n_configs = int(cfg.params.get("n_configs", 300))
     mode = cfg.params.get("mode", "identity-mapping")
-    domain = Domain("cube", d)
-    if mode == "identity-mapping":
-        # the identity map leaves each configuration as drawn
-        side_a = _side(replicate(sampling.poisson_points, (domain, t), n_configs, cfg.seed, 3), d)
-        rng_b = derive_rng(cfg.seed, 4)
-        side_b = _side([sampling.poisson_points(domain, t, rng_b) for _ in range(n_configs)], d)
-    elif mode == "poisson-counts":
-        # every atom sits at 0
-        lam = float(cfg.params.get("lam", 1.0))
-        rng = derive_rng(cfg.seed, 5)
-        side_a = _side([np.zeros((rng.poisson(lam), 1)) for _ in range(n_configs)], 1)
-        side_b = _side([np.zeros((rng.poisson(lam), 1)) for _ in range(n_configs)], 1)
-    else:
+    if mode != "identity-mapping":
         raise ValueError(f"unknown kr-estimate mode {mode!r}")
+    domain = Domain("cube", d)
+    # the identity map leaves each configuration as drawn
+    side_a = _side(replicate(sampling.poisson_points, (domain, t), n_configs, cfg.seed, 3), d)
+    rng_b = derive_rng(cfg.seed, 4)
+    side_b = _side([sampling.poisson_points(domain, t, rng_b) for _ in range(n_configs)], d)
     kr = metrics.empirical_kr(side_a, side_b)
     rows = _kr_rows(cfg, t, f"kr-{mode}", kr, kr.noise_floor + 3 * kr.noise_floor_std,
                     "same-law noise floor + 3 sigma")

@@ -108,6 +108,31 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("d", 2.7), ("reps", 1000.9), ("seed", True), ("d", "2")],
+    ids=["fractional-d", "fractional-reps", "bool-seed", "string-d"],
+)
+def test_config_integers_are_not_truncated(key, value):
+    # int() turned d 2.7 into 2, reps 1000.9 into 1000 and seed true into 1
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+        ScenarioConfig.from_dict({"scenario": "gilbert-edges", key: value})
+    # an integral float is an integer
+    assert getattr(ScenarioConfig.from_dict({"scenario": "gilbert-edges", key: 2000.0}), key) == 2000
+
+
+@pytest.mark.parametrize(
+    "t_grid",
+    [(0.0,), (-50.0, 50.0), (float("nan"),), (50.0, float("inf"))],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_t_grid_entries_positive_and_finite(t_grid):
+    # t = 0 passed validation and then divided by zero in gilbert-edges, and
+    # a NaN passes the strictly-increasing check
+    with pytest.raises(ValueError, match="t_grid entries must be positive and finite"):
+        ScenarioConfig(scenario="gilbert-edges", t_grid=t_grid).validate()
+
+
+@pytest.mark.parametrize(
     "reps_by_t, message",
     [
         ({"100.0": 1}, ">= 2"),  # one replication: a 1e-06 stderr from the variance floor
@@ -175,6 +200,19 @@ def _committed_configs():
 def test_committed_configs_load(config):
     cfg = ScenarioConfig.from_dict(config)
     assert cfg.scenario in scenarios.SCENARIO_NAMES
+
+
+def test_every_param_is_read_by_its_runner_and_set_by_a_committed_config():
+    # a knob that only tests set is one that no program run exercises
+    import inspect
+
+    configs = [p.values[0] for p in _committed_configs()]
+    committed = {(c["scenario"], key) for c in configs for key in c.get("params", {})}
+    for scenario, keys in scenarios._PARAMS.items():
+        source = inspect.getsource(scenarios._RUNNERS[scenario])
+        for key in keys:
+            assert f'"{key}"' in source, f"the {scenario} runner never reads {key!r}"
+            assert (scenario, key) in committed, f"no committed config sets {scenario} {key!r}"
 
 
 @pytest.mark.parametrize(
@@ -260,9 +298,8 @@ def test_replicate_is_the_stream_comprehension(monkeypatch):
 # every scenario, at small sizes, through the replication driver
 POOLED_CONFIGS = {
     "gilbert-edges": dict(d=2, t_grid=(15.0,), reps=1000, seed=4),
-    "gilbert-lengths": dict(d=2, t_grid=(15.0,), reps=1000, seed=4,
-                            params={"cells": 16, "n_boot": 10}),
-    "distance-power": dict(d=2, t_grid=(15.0,), reps=1000, seed=4, params={"n_boot": 10}),
+    "gilbert-lengths": dict(d=2, t_grid=(15.0,), reps=1000, seed=4, params={"cells": 16}),
+    "distance-power": dict(d=2, t_grid=(15.0,), reps=1000, seed=4),
     "polytope": dict(d=3, t_grid=(20.0,), reps=1000, seed=4),
     "gilbert-midpoints": dict(d=2, t_grid=(20.0,), seed=4, params={"n_configs": 100}),
     "flats": dict(d=3, t_grid=(20.0,), reps=20, seed=4, params={"constant_mc_samples": 200}),
@@ -315,11 +352,9 @@ def test_threads_rejects_bad_value(monkeypatch, value):
     monkeypatch.setenv("PPLAB_THREADS", value)
     with pytest.raises(ValueError, match=f"PPLAB_THREADS.*'{value}'"):
         _threads()
-    # scenarios.run checks it up front, so a bad value fails even a run that
-    # draws no per-replication stream
-    cfg = ScenarioConfig(
-        scenario="kr-estimate", t_grid=(5.0,), params={"mode": "poisson-counts", "n_configs": 5}
-    )
+    # scenarios.run checks it up front, before the runner starts
+    monkeypatch.setitem(scenarios._RUNNERS, "kr-estimate", lambda cfg: pytest.fail("the runner started"))
+    cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 5})
     with pytest.raises(ValueError, match="PPLAB_THREADS"):
         scenarios.run(cfg)
     monkeypatch.delenv("PPLAB_THREADS")
@@ -397,6 +432,18 @@ def test_cli_run_rejects_malformed_config(tmp_path, config):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("reps_by_t", [{"100.0": [5]}, [1], {"100.0": 2000.5}],
+                         ids=["list-value", "list", "fractional-value"])
+def test_cli_run_rejects_malformed_reps_by_t(tmp_path, capsys, reps_by_t):
+    # a list value raised an uncaught TypeError and a list an AttributeError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "polytope", "d": 3, "t_grid": [100.0],
+                                    "params": {"reps_by_t": reps_by_t}}))
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
+    assert "config error: reps_by_t" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_cli_list_scenarios():
     proc = _run_cli("list-scenarios")
     assert proc.returncode == 0
@@ -469,7 +516,7 @@ def test_discretized_tv_stays_in_unit_interval():
 
 def test_gilbert_lengths_row_names_its_cells():
     cfg = ScenarioConfig(scenario="gilbert-lengths", d=2, t_grid=(50.0,), seed=2,
-                         params={"cells": 8, "n_boot": 10, "target_factor": 2})
+                         params={"cells": 8})
     assert [r.distance_name for r in scenarios.run(cfg).rows] == ["tv-8cell"]
 
 
@@ -496,9 +543,8 @@ def test_kr_row_fails_at_exactly_three_sigma_over_the_floor():
     [
         ("gilbert-midpoints", {"n_configs": 100}),
         ("kr-estimate", {"mode": "identity-mapping", "n_configs": 100}),
-        ("kr-estimate", {"mode": "poisson-counts", "n_configs": 100}),
     ],
-    ids=["midpoints", "identity-mapping", "poisson-counts"],
+    ids=["midpoints", "identity-mapping"],
 )
 def test_kr_scenarios_make_no_lp_call(monkeypatch, scenario, params):
     # the surrogate is an assignment problem; the LP is only the certified
@@ -521,7 +567,6 @@ def test_rate_sanity_slope_to_800():
         t_grid=(50.0, 100.0, 200.0, 400.0, 800.0),
         reps=20_000,
         seed=11,
-        params={"n_boot": 60},
     )
     res = scenarios.run(cfg)
     assert res.summary["slope"] <= -0.5

@@ -146,6 +146,11 @@ def test_metric_axioms_integer(us, vs):
 # size (the estimator's upward bias) by well over 3 bootstrap sigma.
 
 
+def _resample(values, rng):
+    """One i.i.d. resample of ``values``, as the scenarios' index bootstraps draw it."""
+    return values[rng.integers(0, len(values), size=len(values))]
+
+
 def test_wasserstein_detects_shifted_poisson():
     # Poisson(1.2 lam) counts against Poisson(lam), with the gilbert-edges
     # bootstrap: W1 is 0.2 lam = 1 for stochastically ordered laws
@@ -155,7 +160,14 @@ def test_wasserstein_detects_shifted_poisson():
     wrong = derive_rng(54).poisson(1.2 * lam, size=2000)
     same = derive_rng(55).poisson(lam, size=2000)
     dw = wasserstein1(_pmf(wrong, k), cdf)
-    se = scenarios._bootstrap_se_poisson_w1(wrong, cdf, 200, 54)
+    n = wrong.size
+    pmf, grid = np.bincount(wrong) / n, np.zeros(k + 1)
+
+    def resampled_w1(rng):
+        grid[: len(pmf)] = rng.multinomial(n, pmf) / n
+        return wasserstein1(grid, cdf)
+
+    se = scenarios._bootstrap_se(resampled_w1, derive_rng(54, 77_003), 200)
     assert dw - wasserstein1(_pmf(same, k), cdf) > 10 * se
 
 
@@ -164,7 +176,7 @@ def test_kolmogorov_detects_wrong_levy_scale():
     wrong = LevyLaw(scale=2.0).sample(derive_rng(56), size=2000)
     same = law.sample(derive_rng(58), size=2000)
     dk = kolmogorov(wrong, law)
-    se = scenarios._bootstrap_se(wrong, lambda s: kolmogorov(s, law), 100, 56)
+    se = scenarios._bootstrap_se(lambda rng: kolmogorov(_resample(wrong, rng), law), derive_rng(56, 77_003), 100)
     assert dk - kolmogorov(same, law) > 10 * se
 
 
@@ -174,7 +186,7 @@ def test_tv_integer_detects_poisson_mean_shift():
     wrong = rng.poisson(6.0, size=4000)
     same = rng.poisson(5.0, size=4000)
     dtv = tv_integer(a, wrong)
-    se = scenarios._bootstrap_se(a, lambda s: tv_integer(s, wrong), 100, 57)
+    se = scenarios._bootstrap_se(lambda rng: tv_integer(_resample(a, rng), wrong), derive_rng(57, 77_003), 100)
     assert dtv - tv_integer(a, same) > 10 * se
 
 
@@ -182,11 +194,12 @@ def test_histogram_bootstrap_matches_index_bootstrap():
     # multinomial resampling of the count histogram is i.i.d. resampling of
     # the counts, so both give the same bootstrap spread up to noise
     counts = derive_rng(60).poisson(5.0, size=2000)
-    by_index = scenarios._bootstrap_se(counts, lambda s: tv_against_poisson(s, 5.0), 400, 60)
+    by_index = scenarios._bootstrap_se(lambda rng: tv_against_poisson(_resample(counts, rng), 5.0),
+                                       derive_rng(60, 77_003), 400)
     emp, pois, tail = metrics.poisson_pmfs(counts, 5.0)
-    by_hist = scenarios._bootstrap_se_pmfs(
-        [(emp, counts.size)], lambda p: metrics.tv_pmfs(p, pois, tail), 400, derive_rng(61)
-    )
+    n = counts.size
+    by_hist = scenarios._bootstrap_se(lambda rng: metrics.tv_pmfs(rng.multinomial(n, emp) / n, pois, tail),
+                                      derive_rng(61), 400)
     assert metrics.tv_pmfs(emp, pois, tail) == tv_against_poisson(counts, 5.0)
     assert 0.8 < by_hist / by_index < 1.25
 

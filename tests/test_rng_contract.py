@@ -166,8 +166,8 @@ def test_block_points_in_runs_equal_one_whole_draw(domain):
 # the scenarios that draw through rng.replicate_blocks, at small sizes
 BLOCK_CONFIGS = {
     "gilbert-edges": dict(d=2, t_grid=(15.0,)),
-    "gilbert-lengths": dict(d=2, t_grid=(15.0,), params={"cells": 16, "n_boot": 10, "target_factor": 1}),
-    "distance-power": dict(d=2, t_grid=(15.0,), params={"n_boot": 10}),
+    "gilbert-lengths": dict(d=2, t_grid=(15.0,), params={"cells": 16}),
+    "distance-power": dict(d=2, t_grid=(15.0,)),
     "polytope": dict(d=3, t_grid=(20.0,)),
     "flats": dict(d=3, t_grid=(5.0,), params={"constant_mc_samples": 200}),
     "mecke-verify": dict(d=2, t_grid=(10.0,), params={"n": 10}),
