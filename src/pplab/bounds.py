@@ -1,4 +1,5 @@
-"""Numeric evaluation of the explicit approximation bounds and constants.
+"""Numeric evaluation of the explicit approximation bounds and constants,
+and the compound Poisson limit law of the edge-length sums.
 
 The pair-kernel integrals over the unit cube are polynomials in the cutoff
 for d <= 2: exact for d = 1, and for d = 2 with four edge-strip and corner
@@ -11,13 +12,13 @@ quadrature evaluated at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, factorial, log, perm, pi, sqrt
+from math import comb, exp, factorial, perm, pi, sqrt
 
 import numpy as np
 from scipy import integrate
 
 from .geometry import cube_shell_constant, unit_ball_volume
-from .laws import CompoundPoissonLaw, LevyLaw, PoissonLaw, StableSeriesLaw, stable_series_window
+from .laws import CompoundPoissonLaw
 from .rng import derive_rng
 
 QUAD_ABS_TOL = 1e-12
@@ -76,41 +77,27 @@ class RTermResult:
     method: str = "quadrature"
 
 
-def r_term(
-    d: int,
-    t: float,
-    cutoff: float,
-    k: int = 2,
-    method: str = "auto",
-    rng_seed: int = 0,
-    n_outer: int = 100_000,
-    n_inner: int = 1_000,
-) -> RTermResult:
+def r_term(d: int, t: float, cutoff: float) -> RTermResult:
     """Maximal squared-inner-integral term for a pair kernel on the unit cube
     whose admissible set is {|x - y| <= cutoff}.
 
-    For k = 1 the term is zero by convention.  The quadrature path covers
-    d <= 2; otherwise (or on request) a nested Monte Carlo estimate is
-    returned with its standard error.  ``r_hat`` is the uniform bound
-    t * kappa_d * cutoff^d on the inner integral; the term itself is
-    always dominated by k! * mass * r_hat.
+    The quadrature path covers d <= 2 with cutoff <= 1/2; otherwise a
+    nested Monte Carlo estimate is returned with its standard error.
+    ``r_hat`` is the uniform bound t * kappa_d * cutoff^d on the inner
+    integral; the term itself is always dominated by 2 * mass * r_hat.
     """
-    if k == 1:
-        return RTermResult(value=0.0, r_hat=0.0, stderr=None, method="convention")
-    if k != 2:
-        raise ValueError("pair path supports k in {1, 2}")
-    kd = unit_ball_volume(d)
-    r_hat = t * kd * cutoff**d
-    if method == "auto":
-        method = "quadrature" if d <= 2 and cutoff <= 0.5 else "mc"
-    if method == "quadrature":
+    r_hat = t * unit_ball_volume(d) * cutoff**d
+    if d <= 2 and cutoff <= 0.5:
         _, i3 = cube_pair_integrals(d, cutoff)
-        return RTermResult(value=t**3 * i3, r_hat=r_hat, stderr=None, method="quadrature")
-    value, se = _r_term_nested_mc(d, t, cutoff, rng_seed, n_outer, n_inner)
+        return RTermResult(value=t**3 * i3, r_hat=r_hat)
+    value, se = _r_term_nested_mc(d, t, cutoff)
     return RTermResult(value=value, r_hat=r_hat, stderr=se, method="mc")
 
 
-def _r_term_nested_mc(d, t, cutoff, rng_seed, n_outer, n_inner):
+def _r_term_nested_mc(d, t, cutoff, rng_seed=0, n_outer=100_000, n_inner=1_000):
+    """(value, stderr) of the r term from ``n_outer`` uniform points of the
+    cube, each with two independent ``n_inner``-draw estimates of its
+    clipped ball volume."""
     rng = derive_rng(rng_seed, 31_337)
     kd = unit_ball_volume(d)
     ball_vol = kd * cutoff**d
@@ -148,8 +135,6 @@ class MomentPair:
 
     mean: float
     second_moment: float
-    mean_se: float = 0.0
-    second_se: float = 0.0
 
 
 def gilbert_moments(
@@ -253,53 +238,15 @@ def gilbert_intensity_error(d: int, t: float, a_tilde: float) -> float:
     return 2.0 * ck * kd * t**2 * (a_tilde ** (d + 1) + a_tilde ** (2 * d)) + 0.5 * kd * t * a_tilde**d
 
 
-@dataclass(frozen=True)
-class GilbertLimits:
-    edge_count: PoissonLaw
-    edge_length: CompoundPoissonLaw
-    distance_power: StableSeriesLaw
-    distance_power_levy: LevyLaw | None
-
-
-def gilbert_limit_laws(d: int, lam: float, b: float, tau: float) -> GilbertLimits:
-    """Fully parameterized limit laws for the pair statistics on a unit-volume
-    convex body: Poisson edge counts, compound Poisson length-power sums,
-    and the heavy-tail distance-power limit (with its closed-form 1/2-stable
-    special case when tau = 2d)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if tau <= d:
-        raise ValueError(
-            "tau must exceed d: smaller exponents leave the heavy-tail regime "
-            "(tau < d/2 obeys a central limit theorem instead)"
-        )
-    kd = unit_ball_volume(d)
-    mass = 0.5 * kd * lam
+def edge_length_law(d: int, lam: float, b: float) -> CompoundPoissonLaw:
+    """Compound Poisson limit of the edge-length power sums on a unit-volume
+    convex body: Poisson(kappa_d lam / 2) summands |X|^b with X uniform in
+    the centered ball of radius lam^(1/d)."""
 
     def summands(rng, size):
-        # |X|^b for X uniform in the centered ball of radius lam^(1/d)
         return (lam ** (1.0 / d) * rng.uniform(size=size) ** (1.0 / d)) ** b
 
-    alpha = d / tau
-    scale = (kd / 2.0) ** (tau / d)
-    levy = None
-    if abs(tau - 2 * d) < 1e-12:
-        levy = LevyLaw(scale=pi * kd**2 / 8.0)
-        median_lb = levy.median
-    else:
-        # the largest summand alone gives a rigorous lower bound on the median
-        median_lb = scale * log(2.0) ** (-tau / d)
-    window = stable_series_window(alpha, scale, median_lb)
-    return GilbertLimits(
-        edge_count=PoissonLaw(mass),
-        edge_length=CompoundPoissonLaw(
-            mass=mass,
-            summand_sampler=summands,
-            summand_mean=lam ** (b / d) * d / (d + b) if d + b > 0 else float("nan"),
-        ),
-        distance_power=StableSeriesLaw(alpha=alpha, window=window, scale=scale),
-        distance_power_levy=levy,
-    )
+    return CompoundPoissonLaw(mass=0.5 * unit_ball_volume(d) * lam, summand_sampler=summands)
 
 
 def flats_constant(d: int, m: int) -> float:

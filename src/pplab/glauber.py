@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain
+from .metrics import mean_gap, tv_against_poisson
 from .rng import replicate_blocks
 
 
@@ -150,12 +151,6 @@ def _commutation_rhs(start, y, phi, target, s, window, rng, size) -> np.ndarray:
     return np.exp(-s) * _gradient(phi, counts, int(_inside(y, window)))
 
 
-def _mean_gap(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
-    """(lhs mean, rhs mean, pooled standard error of their difference)."""
-    pooled = np.sqrt(lhs.var(ddof=1) / lhs.size + rhs.var(ddof=1) / rhs.size)
-    return float(lhs.mean()), float(rhs.mean()), float(pooled)
-
-
 def commutation_check(start, y: float, phi, target: TargetIntensity, s: float, window,
                       reps: int, rng_seed: int) -> tuple[float, float, float]:
     """Compare the gradient of the evolved functional with the evolved gradient.
@@ -169,7 +164,7 @@ def commutation_check(start, y: float, phi, target: TargetIntensity, s: float, w
     args = (start, y, phi, target, s, window)
     lhs = replicate_blocks(_commutation_lhs, args, reps, rng_seed, 0)
     rhs = replicate_blocks(_commutation_rhs, args, reps, rng_seed, 1)
-    return _mean_gap(lhs, rhs)
+    return mean_gap(lhs, rhs)
 
 
 def ergodicity_check(n_initial: int, target: TargetIntensity, s_grid, reps: int,
@@ -179,8 +174,6 @@ def ergodicity_check(n_initial: int, target: TargetIntensity, s_grid, reps: int,
     ``n_initial`` atoms and the Poisson(mass) stationary count law, and the
     ``reps`` survivor counts it was measured on.  Horizon j draws from
     block stream (rng_seed, j)."""
-    from .metrics import tv_against_poisson
-
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("horizon grid must be strictly increasing")

@@ -40,6 +40,13 @@ MARGINAL_TOL = 1e-9
 DUALITY_TOL = 1e-8
 
 
+def mean_gap(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+    """(lhs mean, rhs mean, pooled standard error of their difference) for
+    two independent samples, the two sides of an identity check."""
+    pooled = np.sqrt(lhs.var(ddof=1) / lhs.size + rhs.var(ddof=1) / rhs.size)
+    return float(lhs.mean()), float(rhs.mean()), float(pooled)
+
+
 def kolmogorov(samples, law) -> float:
     """Sup-norm distance between the empirical CDF of real samples and the
     law's CDF, evaluated on both sides of every jump."""

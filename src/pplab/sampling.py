@@ -10,6 +10,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import Domain, unit_ball_volume
+from .metrics import mean_gap
 from .rng import replicate_blocks
 from .transform import _pairs_within, pair_counts_within
 
@@ -246,7 +247,7 @@ class NeighborCountG(MeckeTestFunction):
         return np.minimum(_tuple_ball_counts(y, points, counts, self.radius).sum(axis=1), self.cap) / self.cap
 
 
-def _mecke_block(domain, t, k, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
+def _mecke_block(domain, t, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
     """Both sides of ``mecke_check`` for a block of ``size`` replications:
     ``(size, 2)`` rows of the left-side g-sum and the right-side term.
 
@@ -265,8 +266,8 @@ def _mecke_block(domain, t, k, g, mode, n, tuple_weight, rng, size) -> np.ndarra
         ambient_counts = rng.poisson(t * domain.mass, size)
     else:
         # the right side sees an (n - k)-point sample plus the added atoms
-        ambient_counts = np.full(size, max(n - k, 0))
-    y = domain.sample(rng, size * k).reshape(size, k, -1)
+        ambient_counts = np.full(size, max(n - g.k, 0))
+    y = domain.sample(rng, size * g.k).reshape(size, g.k, -1)
     val = np.concatenate([g.block_values(y[lo:hi], domain.sample(rng, stop - start), ambient_counts[lo:hi])
                           for lo, hi, start, stop in _runs(ambient_counts)])
     if np.any(val < 0) or np.any(val > g.bound + 1e-12):
@@ -277,7 +278,6 @@ def _mecke_block(domain, t, k, g, mode, n, tuple_weight, rng, size) -> np.ndarra
 def mecke_check(
     domain: Domain,
     t: float,
-    k: int,
     g: MeckeTestFunction,
     reps: int,
     seed: int,
@@ -288,7 +288,7 @@ def mecke_check(
     """Monte Carlo both sides of the distinct-tuple moment identity.
 
     Left side: mean over replications of the g-sum over ordered distinct
-    k-tuples of a fresh sample.  Right side: mean of
+    k-tuples of a fresh sample, k = ``g.k``.  Right side: mean of
     mass^k * g(y, sample + atoms at y) with y a fresh i.i.d. k-tuple from
     the normalized reference measure -- against the k-fold intensity for a
     Poisson sample, and with (n)_k times an (n-k)-point sample in the
@@ -296,10 +296,8 @@ def mecke_check(
     streams (seed, *stream, b).  Returns (lhs mean, rhs mean, pooled
     standard error).
     """
-    if k not in (1, 2):
+    if g.k not in (1, 2):
         raise ValueError("only k in {1, 2} is supported")
-    if g.k != k:
-        raise ValueError("test function arity does not match k")
     if not np.isfinite(g.bound):
         raise ValueError("test function must declare a finite bound")
     if mode not in ("poisson", "binomial"):
@@ -307,15 +305,9 @@ def mecke_check(
     if mode == "binomial":
         if n is None:
             raise ValueError("binomial mode needs the point count n")
-        tuple_weight = float(perm(n, k))
+        tuple_weight = float(perm(n, g.k))
     else:
-        tuple_weight = (t * domain.mass) ** k
+        tuple_weight = (t * domain.mass) ** g.k
 
-    args = (domain, t, k, g, mode, n, tuple_weight)
-    lhs_vals, rhs_vals = replicate_blocks(_mecke_block, args, reps, seed, *stream).T
-    lhs_mean = float(lhs_vals.mean())
-    rhs_mean = float(rhs_vals.mean())
-    pooled = float(
-        np.sqrt(lhs_vals.var(ddof=1) / reps + rhs_vals.var(ddof=1) / reps)
-    )
-    return lhs_mean, rhs_mean, pooled
+    args = (domain, t, g, mode, n, tuple_weight)
+    return mean_gap(*replicate_blocks(_mecke_block, args, reps, seed, *stream).T)

@@ -28,7 +28,7 @@ stream it draws from: (seed, 77 003) at every t of `gilbert-edges` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, isfinite, sqrt
+from math import exp, isfinite, pi, sqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -38,7 +38,7 @@ from . import glauber as glb
 from . import metrics, sampling, transform
 from .configuration import Configuration  # noqa: F401 (perfbench/selftest.py reads it here)
 from .geometry import Domain, unit_ball_volume
-from .laws import PoissonLaw
+from .laws import LevyLaw, PoissonLaw
 from .rng import derive_rng, replicate, replicate_blocks, worker_pool
 
 # the params keys each runner reads; any other key is a configuration error
@@ -54,6 +54,10 @@ _PARAMS = {
     "kr-estimate": ("mode", "n_configs"),
 }
 SCENARIO_NAMES = tuple(_PARAMS)
+# params read as counts, and as real numbers; an integer is a real number, a bool is neither
+_INT_PARAMS = ("cells", "n_configs", "m", "constant_mc_samples", "commutation_reps", "n")
+_REAL_PARAMS = ("lam", "b", "tv_threshold", "a", "tau", "dk_threshold", "threshold_t", "ball_radius",
+                "gap_threshold", "mass")
 
 DISTANCE_SCENARIOS = ("gilbert-edges", "gilbert-lengths", "distance-power", "polytope")
 # runners that read one t (glauber-verify reads none): a longer grid would be dropped
@@ -79,6 +83,11 @@ class ScenarioConfig:
         unknown = sorted(set(self.params) - set(_PARAMS[self.scenario]))
         if unknown:
             raise ValueError(f"unknown params for {self.scenario}: {unknown}")
+        for key, value in self.params.items():
+            if key in _INT_PARAMS:
+                _as_int(value, key)
+            elif key in _REAL_PARAMS and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         grid = list(self.t_grid)
@@ -93,7 +102,11 @@ class ScenarioConfig:
         if not isinstance(reps_by_t, dict):
             raise ValueError("reps_by_t must be an object")
         for t, reps in reps_by_t.items():
-            if float(t) not in grid:
+            try:
+                on_grid = float(t) in grid
+            except (TypeError, ValueError):
+                raise ValueError(f"reps_by_t key {t!r} is not a number") from None
+            if not on_grid:
                 raise ValueError(f"reps_by_t key {t!r} is not in t_grid")
             self._check_reps(_as_int(reps, f"reps_by_t[{t!r}]"))
         if self.scenario == "distance-power" and "threshold_t" in self.params:
@@ -387,7 +400,7 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
     b = float(cfg.params.get("b", 1.0))
     cells = int(cfg.params.get("cells", 64))
     tv_threshold = float(cfg.params.get("tv_threshold", 0.1))
-    limits = bnd.gilbert_limit_laws(d, lam, b=b, tau=2 * d)
+    limit = bnd.edge_length_law(d, lam, b)
     rows = []
     for idx, t in enumerate(cfg.t_grid):
         theta = lam ** (1.0 / d) * t ** (-2.0 / d)
@@ -395,7 +408,7 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
         stat = t ** (2.0 * b / d) * replicate_blocks(_block_stat, args, cfg.reps, cfg.seed)
         # the target draws are cheap, so a target sample ten times larger keeps
         # the two-sample noise floor of the discretized TV below the signal
-        target = limits.edge_length.sample_many(derive_rng(cfg.seed, 555_001, idx), 10 * cfg.reps)
+        target = limit.sample_many(derive_rng(cfg.seed, 555_001, idx), 10 * cfg.reps)
         tv = metrics.tv_discretized(stat, target, cells)
         n = stat.size
         se = _bootstrap_se(lambda rng: metrics.tv_discretized(stat[rng.integers(0, n, size=n)], target, cells),
@@ -425,10 +438,9 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
     tau = float(cfg.params.get("tau", 2 * d))
     threshold = float(cfg.params.get("dk_threshold", 0.08))
     threshold_t = float(cfg.params.get("threshold_t", cfg.t_grid[len(cfg.t_grid) // 2]))
-    limits = bnd.gilbert_limit_laws(d, 1.0, b=1.0, tau=tau)
-    levy = limits.distance_power_levy
-    if levy is None:
+    if not abs(tau - 2 * d) < 1e-12:  # a NaN tau fails too
         raise ValueError("closed-form target needs tau = 2d")
+    levy = LevyLaw(scale=pi * unit_ball_volume(d) ** 2 / 8.0)
     if d in (1, 2):
         rate = -0.2
     else:
@@ -454,8 +466,6 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
             "dk_threshold": threshold,
             "threshold_t": threshold_t,
             "levy_scale": levy.scale,
-            "series_window": limits.distance_power.window,
-            "series_tail_mean": limits.distance_power.truncation_tail_mean,
         },
     )
 
@@ -613,16 +623,13 @@ def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
     n = int(cfg.params.get("n", int(t)))
     radius = 0.1  # of the test functions' neighbourhoods
     domain = Domain("cube", cfg.d)
-    cases = []
-    for mode in ("poisson", "binomial"):
-        cases.append((1, sampling.ConstantG(1), mode))
-        cases.append((1, sampling.SingletonNeighborG(radius), mode))
-        cases.append((2, sampling.PairProximityG(radius), mode))
-        cases.append((2, sampling.NeighborCountG(radius), mode))
+    cases = [(g, mode) for mode in ("poisson", "binomial")
+             for g in (sampling.ConstantG(1), sampling.SingletonNeighborG(radius),
+                       sampling.PairProximityG(radius), sampling.NeighborCountG(radius))]
     rows = []
-    for c, (k, g, mode) in enumerate(cases):
-        lhs, rhs, pooled = sampling.mecke_check(domain, t, k, g, cfg.reps, cfg.seed, c, mode=mode, n=n)
-        statistic = f"tuple-sum-k{k}-{type(g).__name__}-{mode}"
+    for c, (g, mode) in enumerate(cases):
+        lhs, rhs, pooled = sampling.mecke_check(domain, t, g, cfg.reps, cfg.seed, c, mode=mode, n=n)
+        statistic = f"tuple-sum-k{g.k}-{type(g).__name__}-{mode}"
         rows.append(_gap_row(cfg, t if mode == "poisson" else n, statistic, lhs, rhs, pooled))
     passed = all(r.passed for r in rows)
     return RunResult(rows, {"passed": passed})

@@ -3,7 +3,8 @@
 None of these is on a scenario path: each is the slow, direct form of
 something pplab computes another way (enumerated U-statistics for the pair
 kernels, a Monte Carlo for the quadrature moments, adaptive quadrature for
-the stored d = 2 pair-integral constants, a least-squares solver for the
+the stored d = 2 pair-integral constants, the truncated stable series
+behind the Levy target, a least-squares solver for the
 closed-form line-pair distances, per-replication ``Configuration``
 simulators and the exact time-s count law for the block samplers of
 ``pplab.glauber``, one-tuple Mecke test functions for the ragged block
@@ -25,7 +26,7 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import binom, poisson
 
-from pplab.bounds import QUAD_ABS_TOL, MomentPair
+from pplab.bounds import QUAD_ABS_TOL
 from pplab.configuration import Configuration
 from pplab.rng import derive_rng
 from pplab.geometry import orthocomplement_basis
@@ -163,6 +164,16 @@ def corner_constants_2d() -> tuple[float, float]:
     return c2, c4
 
 
+@dataclass(frozen=True)
+class MomentEstimate:
+    """Monte Carlo first and second moment with their standard errors."""
+
+    mean: float
+    second_moment: float
+    mean_se: float
+    second_se: float
+
+
 def gilbert_moments_mc(
     d: int,
     t: float,
@@ -171,7 +182,7 @@ def gilbert_moments_mc(
     rng_seed: int,
     mode: str = "poisson",
     n: int | None = None,
-) -> MomentPair:
+) -> MomentEstimate:
     """Monte Carlo moments of the edge count on the unit cube, the oracle of
     ``bounds.gilbert_moments``."""
     counts = np.empty(reps)
@@ -182,12 +193,58 @@ def gilbert_moments_mc(
         counts[i] = pair_count_within(pts, cutoff)
     mean = float(counts.mean())
     second = float((counts**2).mean())
-    return MomentPair(
+    return MomentEstimate(
         mean=mean,
         second_moment=second,
         mean_se=float(counts.std(ddof=1) / sqrt(reps)),
         second_se=float((counts**2).std(ddof=1) / sqrt(reps)),
     )
+
+
+@dataclass(frozen=True)
+class StableSeriesLaw:
+    """scale * sum of x^(-1/alpha) over a unit-intensity Poisson process on (0, T],
+    the series representation of the alpha-stable limits; alpha = 1/2 is
+    the Levy law of ``pplab.laws.LevyLaw``.
+
+    The window T truncates the series; the neglected tail has mean
+    scale * T^(1 - 1/alpha) / (1/alpha - 1), ``truncation_tail_mean``.
+    Only alpha in (0, 1) is supported; the summands are then so heavy
+    tailed that no centering is needed.
+    """
+
+    alpha: float
+    window: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.alpha < 1:
+            raise ValueError("need 0 < alpha < 1")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
+
+    @property
+    def truncation_tail_mean(self) -> float:
+        inv = 1.0 / self.alpha
+        return self.scale * self.window ** (1.0 - inv) / (inv - 1.0)
+
+    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        counts = rng.poisson(self.window, size=size)
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros(size)
+        pts = rng.uniform(0.0, self.window, size=total)
+        out = np.zeros(size)
+        np.add.at(out, np.repeat(np.arange(size), counts), pts ** (-1.0 / self.alpha))
+        return self.scale * out
+
+
+def stable_series_window(alpha: float, scale: float, target_median: float, rel: float = 1e-3) -> float:
+    """Window size making the truncation-tail mean at most rel * target_median."""
+    inv = 1.0 / alpha
+    # scale * T^(1 - inv) / (inv - 1) <= rel * median
+    t = (rel * target_median * (inv - 1.0) / scale) ** (1.0 / (1.0 - inv))
+    return float(max(t, 1.0))
 
 
 @dataclass(frozen=True)

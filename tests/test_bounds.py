@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from scipy.special import erfc
 
-from oracles import corner_constants_2d, edge_strip_constants_2d, gilbert_moments_mc
+from oracles import (
+    StableSeriesLaw,
+    corner_constants_2d,
+    edge_strip_constants_2d,
+    gilbert_moments_mc,
+    stable_series_window,
+)
 from pplab import bounds as bnd
+from pplab import scenarios
 from pplab.bounds import (
     MomentPair,
     cube_pair_integrals,
+    edge_length_law,
     flats_constant,
     flats_constant_mc,
     flats_constant_via_grassmannian,
     gilbert_intensity_error,
-    gilbert_limit_laws,
     gilbert_moments,
     polytope_law,
     polytope_limit_density,
@@ -19,6 +27,7 @@ from pplab.bounds import (
     ustat_poisson_bound,
 )
 from pplab.geometry import haar_frame, subspace_determinant, unit_ball_volume
+from pplab.laws import LevyLaw
 from pplab.rng import derive_rng
 
 
@@ -84,15 +93,11 @@ def test_pair_integral_i3_monte_carlo():
 # --- r term -------------------------------------------------------------------
 
 
-def test_r_term_k1_zero():
-    res = r_term(2, 100.0, 0.01, k=1)
-    assert res.value == 0.0 and res.r_hat == 0.0
-
-
 def test_r_term_quadrature_vs_nested_mc():
-    quad = r_term(2, 100.0, 0.01, method="quadrature")
-    mc = r_term(2, 100.0, 0.01, method="mc", rng_seed=1, n_outer=60_000, n_inner=500)
-    assert abs(quad.value - mc.value) < 3 * mc.stderr
+    quad = r_term(2, 100.0, 0.01)
+    assert quad.method == "quadrature"
+    value, stderr = bnd._r_term_nested_mc(2, 100.0, 0.01, rng_seed=1, n_outer=60_000, n_inner=500)
+    assert abs(quad.value - value) < 3 * stderr
 
 
 def test_r_term_coarse_cap():
@@ -216,30 +221,17 @@ def test_gilbert_intensity_error_dominates_true_discrepancy():
 # --- limit laws -----------------------------------------------------------------
 
 
-def test_gilbert_limit_laws_targets():
-    lims = gilbert_limit_laws(2, 1.0, b=1.0, tau=4.0)
-    assert lims.edge_count.lam == pytest.approx(np.pi / 2)
-    assert lims.distance_power_levy is not None
-    assert lims.distance_power_levy.scale == pytest.approx(np.pi**3 / 8)
+def test_edge_length_and_levy_targets():
+    assert edge_length_law(2, 1.0, b=1.0).mass == pytest.approx(np.pi / 2)
+    cfg = scenarios.ScenarioConfig(scenario="distance-power", t_grid=(50.0,), params={"dk_threshold": 1.0})
+    levy = LevyLaw(scenarios.run(cfg).summary["levy_scale"])
+    assert levy.scale == pytest.approx(np.pi**3 / 8)
     # Levy CDF at x: erfc(sqrt(pi^3 / (16 x)))
-    from scipy.special import erfc
-
-    assert lims.distance_power_levy.cdf(np.array([2.0]))[0] == pytest.approx(
-        erfc(np.sqrt(np.pi**3 / 32.0)), rel=1e-12
-    )
-    assert lims.distance_power.alpha == pytest.approx(0.5)
-    assert lims.distance_power.scale == pytest.approx((np.pi / 2) ** 2)
-
-
-def test_gilbert_limit_laws_tau_guard():
-    with pytest.raises(ValueError):
-        gilbert_limit_laws(2, 1.0, b=1.0, tau=1.5)
+    assert levy.cdf(np.array([2.0]))[0] == pytest.approx(erfc(np.sqrt(np.pi**3 / 32.0)), rel=1e-12)
 
 
 def test_gilbert_limit_b0_degenerates_to_poisson():
-    lims = gilbert_limit_laws(2, 1.0, b=0.0, tau=4.0)
-    rng = derive_rng(45)
-    xs = lims.edge_length.sample_many(rng, 50_000)
+    xs = edge_length_law(2, 1.0, b=0.0).sample_many(derive_rng(45), 50_000)
     assert np.allclose(xs, np.round(xs))  # integer summands of size one
     from pplab.metrics import tv_against_poisson
 
@@ -247,9 +239,13 @@ def test_gilbert_limit_b0_degenerates_to_poisson():
 
 
 def test_stable_series_window_keeps_tail_small():
-    lims = gilbert_limit_laws(2, 1.0, b=1.0, tau=4.0)
-    law = lims.distance_power
-    assert law.truncation_tail_mean <= 1e-3 * lims.distance_power_levy.median * (1 + 1e-9)
+    # the alpha = d / tau = 1/2 series of the d = 2, tau = 4 distance-power
+    # limit, windowed against the median of its closed form, the Levy law
+    kd = unit_ball_volume(2)
+    scale = (kd / 2.0) ** 2
+    median = float(LevyLaw(scale=np.pi * kd**2 / 8.0).ppf(0.5))
+    law = StableSeriesLaw(alpha=0.5, window=stable_series_window(0.5, scale, median), scale=scale)
+    assert law.truncation_tail_mean <= 1e-3 * median * (1 + 1e-9)
 
 
 # --- flats constant -----------------------------------------------------------------

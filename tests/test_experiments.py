@@ -108,16 +108,38 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("d", 2.7), ("reps", 1000.9), ("seed", True), ("d", "2")],
-    ids=["fractional-d", "fractional-reps", "bool-seed", "string-d"],
+    "scenario, key, value, kind, accepted",
+    [
+        ("gilbert-edges", "d", 2.7, "an integer", 2000.0),
+        ("gilbert-edges", "reps", 1000.9, "an integer", 2000.0),
+        ("gilbert-edges", "seed", True, "an integer", 2000.0),
+        ("gilbert-edges", "d", "2", "an integer", 2000.0),
+        ("gilbert-lengths", "cells", 8.9, "an integer", 8.0),
+        ("mecke-verify", "n", 10.7, "an integer", 10.0),
+        ("kr-estimate", "n_configs", True, "an integer", 300.0),
+        ("flats", "m", 1.5, "an integer", 1.0),
+        ("flats", "constant_mc_samples", "200000", "an integer", 200_000.0),
+        ("glauber-verify", "commutation_reps", 1000.5, "an integer", 1000.0),
+        ("gilbert-edges", "lam", True, "a number", 1),
+        ("distance-power", "tau", "4.0", "a number", 4),
+    ],
+    ids=["fractional-d", "fractional-reps", "bool-seed", "string-d", "fractional-cells", "fractional-n",
+         "bool-n_configs", "fractional-m", "string-constant_mc_samples", "fractional-commutation_reps",
+         "bool-lam", "string-tau"],
 )
-def test_config_integers_are_not_truncated(key, value):
-    # int() turned d 2.7 into 2, reps 1000.9 into 1000 and seed true into 1
-    with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
-        ScenarioConfig.from_dict({"scenario": "gilbert-edges", key: value})
-    # an integral float is an integer
-    assert getattr(ScenarioConfig.from_dict({"scenario": "gilbert-edges", key: 2000.0}), key) == 2000
+def test_config_integers_are_not_truncated(scenario, key, value, kind, accepted):
+    # int() turned d 2.7 into 2, reps 1000.9 into 1000 and seed true into 1;
+    # cells 8.9 ran 8 cells as tv-8cell, n 10.7 ran n = 10 and lam true ran as 1.0
+    def config(v):
+        if key in ("d", "reps", "seed"):
+            return {"scenario": scenario, key: v}
+        return {"scenario": scenario, "params": {key: v}}
+
+    with pytest.raises(ValueError, match=f"{key} must be {kind}, got {value!r}"):
+        ScenarioConfig.from_dict(config(value))
+    # an integral float is an integer, and an integer is a number
+    cfg = ScenarioConfig.from_dict(config(accepted))
+    assert getattr(cfg, key, None) in (None, 2000)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +161,9 @@ def test_t_grid_entries_positive_and_finite(t_grid):
         ({"100.0": 0}, ">= 2"),  # no replication: a division by zero
         ({"100.0": 999}, "at least 1000"),
         ({"100.0": 3000, "200.0": 1000}, "not in t_grid"),  # silently unused
+        ({"abc": 2000}, "reps_by_t key 'abc' is not a number"),  # float()'s message named no key
     ],
-    ids=["one-rep", "zero-reps", "below-1000", "unknown-t"],
+    ids=["one-rep", "zero-reps", "below-1000", "unknown-t", "non-numeric-key"],
 )
 def test_polytope_reps_by_t_validated(reps_by_t, message):
     cfg = ScenarioConfig(scenario="polytope", d=3, t_grid=(100.0, 400.0), reps=1000,
@@ -432,8 +455,8 @@ def test_cli_run_rejects_malformed_config(tmp_path, config):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("reps_by_t", [{"100.0": [5]}, [1], {"100.0": 2000.5}],
-                         ids=["list-value", "list", "fractional-value"])
+@pytest.mark.parametrize("reps_by_t", [{"100.0": [5]}, [1], {"100.0": 2000.5}, {"abc": 2000}],
+                         ids=["list-value", "list", "fractional-value", "non-numeric-key"])
 def test_cli_run_rejects_malformed_reps_by_t(tmp_path, capsys, reps_by_t):
     # a list value raised an uncaught TypeError and a list an AttributeError
     cfg_path = tmp_path / "cfg.json"
@@ -441,6 +464,21 @@ def test_cli_run_rejects_malformed_reps_by_t(tmp_path, capsys, reps_by_t):
                                     "params": {"reps_by_t": reps_by_t}}))
     assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
     assert "config error: reps_by_t" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("tau", [6.0, 1.5])
+def test_cli_distance_power_needs_tau_2d(tmp_path, capsys, monkeypatch, tau):
+    # only tau = 2d has the closed-form Levy target, on either side of d
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking tau")
+
+    monkeypatch.setattr(scenarios, "replicate_blocks", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "distance-power", "d": 2, "t_grid": [50.0],
+                                    "params": {"tau": tau}}))
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
+    assert "scenario error: closed-form target needs tau = 2d" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
 
 

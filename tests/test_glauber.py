@@ -17,7 +17,7 @@ from pplab.glauber import (
     total_count,
     window_occupancy,
 )
-from pplab.metrics import tv_against_poisson, tv_integer
+from pplab.metrics import mean_gap, tv_against_poisson, tv_integer
 from pplab.rng import derive_rng, replicate, replicate_blocks
 
 DOM = Domain("cube", 1)
@@ -209,10 +209,10 @@ def test_commutation_rejects_broken_left_sides(s):
     args = (START, 0.15, total_count, TARGET, s, WINDOW)
     rhs = replicate_blocks(glauber._commutation_rhs, args, reps, 21, 1)
     for lhs_fn, lhs_args in ((_lhs_immortal_extra, args), (_lhs_death_rate, (1.05, *args))):
-        lhs, rhs_mean, pooled = glauber._mean_gap(replicate_blocks(lhs_fn, lhs_args, reps, 21, 0), rhs)
+        lhs, rhs_mean, pooled = mean_gap(replicate_blocks(lhs_fn, lhs_args, reps, 21, 0), rhs)
         assert abs(lhs - rhs_mean) >= 3 * pooled, lhs_fn.__name__
     # the same streams with the unit death rate pass
-    lhs, rhs_mean, pooled = glauber._mean_gap(
+    lhs, rhs_mean, pooled = mean_gap(
         replicate_blocks(_lhs_death_rate, (1.0, *args), reps, 21, 0), rhs
     )
     assert abs(lhs - rhs_mean) < 3 * pooled

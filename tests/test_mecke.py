@@ -20,39 +20,39 @@ DOM = Domain("cube", 2)
 
 
 def test_k1_constant_poisson():
-    lhs, rhs, pooled = mecke_check(DOM, 10.0, 1, ConstantG(1), 4000, 21)
+    lhs, rhs, pooled = mecke_check(DOM, 10.0, ConstantG(1), 4000, 21)
     assert rhs == pytest.approx(10.0, abs=1e-12)  # right side has no noise here
     assert abs(lhs - rhs) < 3 * pooled
 
 
 def test_k2_constant_poisson_factorial_moment():
-    lhs, rhs, pooled = mecke_check(DOM, 10.0, 2, ConstantG(2), 6000, 22)
+    lhs, rhs, pooled = mecke_check(DOM, 10.0, ConstantG(2), 6000, 22)
     assert rhs == pytest.approx(100.0, abs=1e-12)
     assert abs(lhs - rhs) < 3 * pooled
 
 
 def test_k1_constant_binomial_exact():
-    lhs, rhs, pooled = mecke_check(DOM, 10.0, 1, ConstantG(1), 200, 23, mode="binomial", n=17)
+    lhs, rhs, pooled = mecke_check(DOM, 10.0, ConstantG(1), 200, 23, mode="binomial", n=17)
     assert lhs == pytest.approx(17.0)
     assert rhs == pytest.approx(17.0)
 
 
 def test_k2_proximity_poisson():
-    lhs, rhs, pooled = mecke_check(DOM, 50.0, 2, PairProximityG(0.1), 4000, 24)
+    lhs, rhs, pooled = mecke_check(DOM, 50.0, PairProximityG(0.1), 4000, 24)
     assert pooled > 0
     assert abs(lhs - rhs) < 3 * pooled
 
 
 def test_k2_proximity_binomial():
     lhs, rhs, pooled = mecke_check(
-        DOM, 50.0, 2, PairProximityG(0.1), 4000, 25, mode="binomial", n=50
+        DOM, 50.0, PairProximityG(0.1), 4000, 25, mode="binomial", n=50
     )
     assert abs(lhs - rhs) < 3 * pooled
 
 
 def test_config_dependent_functions():
     for k, g in ((1, SingletonNeighborG(0.15)), (2, NeighborCountG(0.15))):
-        lhs, rhs, pooled = mecke_check(DOM, 20.0, k, g, 4000, 26 + k)
+        lhs, rhs, pooled = mecke_check(DOM, 20.0, g, 4000, 26 + k)
         assert abs(lhs - rhs) < 3 * pooled, (k, lhs, rhs, pooled)
 
 
@@ -92,7 +92,7 @@ def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, mode):
     # sides one replication at a time
     t, n, size, k = 20.0, 20, 300, g.k
     weight = float(perm(n, k)) if mode == "binomial" else (t * DOM.mass) ** k
-    got = _mecke_block(DOM, t, k, g, mode, n, weight, derive_rng(32, 1), size)
+    got = _mecke_block(DOM, t, g, mode, n, weight, derive_rng(32, 1), size)
     rng = derive_rng(32, 1)
     counts = rng.poisson(t, size) if mode == "poisson" else np.full(size, n)
     points = DOM.sample(rng, counts.sum())
@@ -112,20 +112,20 @@ def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, mode):
     # the block above ran in one run of points; runs of about 50 points
     # change no number
     monkeypatch.setattr(sampling, "_RUN_POINTS", 50)
-    assert np.array_equal(_mecke_block(DOM, t, k, g, mode, n, weight, derive_rng(32, 1), size), got)
+    assert np.array_equal(_mecke_block(DOM, t, g, mode, n, weight, derive_rng(32, 1), size), got)
 
 
 def test_rejects_bad_arity_and_unbounded():
     with pytest.raises(ValueError):
-        mecke_check(DOM, 5.0, 3, ConstantG(3), 10, 0)
+        mecke_check(DOM, 5.0, ConstantG(3), 10, 0)
     g = ConstantG(1)
     g.bound = float("inf")
     with pytest.raises(ValueError):
-        mecke_check(DOM, 5.0, 1, g, 10, 0)
+        mecke_check(DOM, 5.0, g, 10, 0)
 
 
 def test_right_side_outside_the_declared_bound_raises():
     g = SingletonNeighborG(0.15)
     g.bound = 0.05  # every right-side value is at least 1 / cap = 0.1
     with pytest.raises(ValueError, match="left its declared bound"):
-        mecke_check(DOM, 5.0, 1, g, 10, 0)
+        mecke_check(DOM, 5.0, g, 10, 0)

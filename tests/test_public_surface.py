@@ -6,6 +6,8 @@ exceptions are the paper identities below, each checked by its own test.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +76,21 @@ def test_paper_identities_are_defined_and_tested():
         assert name in defined, f"{name} is allow-listed but not defined"
         file, func = test.split("::")
         assert f"def {func}(" in (ROOT / "tests" / file).read_text(), test
+
+
+def test_tracer_installs_over_the_package():
+    # perfbench/run.py --trace 1 wraps every name in the tracer's TARGETS;
+    # a deleted one would fail there with a KeyError
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module in tracer.TARGETS:
+        importlib.import_module(f"pplab.{module}")
+    originals = [(owner, attr, vars(owner)[attr]) for _, owner, attr in tracer._targets()]
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert all(vars(owner)[attr] is not raw for owner, attr, raw in originals)
+    finally:
+        spans.uninstall()
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in originals)
