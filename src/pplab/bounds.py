@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb, exp, factorial, perm, pi, sqrt
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import cube_shell_constant, unit_ball_volume
 from .laws import CompoundPoissonLaw
@@ -316,6 +315,8 @@ def polytope_law(d: int, t: float, a: float) -> tuple[float, float, float]:
     def integrand(u):
         inner = 4.0 * u - u * u * eps - eps * (2.0 * u - u * u * eps / 2.0) ** 2
         return max(inner, 0.0) ** ((d - 3) / 2.0) * (2.0 - u * eps)
+
+    from scipy import integrate  # imported here to keep start-up light
 
     val, _ = integrate.quad(integrand, 0.0, a, epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=200)
     l_t = (d - 1) * kdm1 / (2.0 * d * kd) * val

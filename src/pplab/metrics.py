@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .configuration import Configuration
 from .laws import PoissonLaw
@@ -234,6 +233,8 @@ def ot_exact(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> TransportPlan:
         (np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)
     )
     b_eq = np.concatenate([mu, nu])
+    from scipy.optimize import linprog  # imported here: no scenario path solves an LP
+
     res = linprog(
         cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
     )
@@ -285,6 +286,8 @@ def _assignment_cost(cost: np.ndarray) -> float:
     n = len(cost)
     if cost.shape != (n, n):
         raise ValueError("both collections must have the same size")
+    from scipy.optimize import linear_sum_assignment  # imported here to keep start-up light
+
     rows, cols = linear_sum_assignment(cost)
     return int(cost[rows, cols].sum()) / n
 

@@ -2,6 +2,11 @@
 measure its distance to the analytic target, and set the measured value
 against the corresponding explicit bound.
 
+`_SCENARIOS` declares each scenario once: its runner, the kind and default
+of each of its params, and its grid and replication rules.
+`ScenarioConfig.validate` checks a config against it before any draw and
+hands the runner its params typed, every default filled in.
+
 Every replication loop goes through the block driver of `rng`: block b of
 a statistic draws from the stream derived from (seed, stream ids, b), and
 the blocks fan out over the one process pool that `run` opens when
@@ -27,7 +32,8 @@ stream it draws from: (seed, 77 003) at every t of `gilbert-edges` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from math import exp, isfinite, pi, sqrt
 from numbers import Integral, Real
 
@@ -41,28 +47,6 @@ from .geometry import Domain, unit_ball_volume
 from .laws import LevyLaw, PoissonLaw
 from .rng import derive_rng, replicate, replicate_blocks, worker_pool
 
-# the params keys each runner reads; any other key is a configuration error
-_PARAMS = {
-    "gilbert-edges": ("lam",),
-    "gilbert-lengths": ("b", "lam", "cells", "tv_threshold"),
-    "gilbert-midpoints": ("a", "n_configs"),
-    "distance-power": ("tau", "dk_threshold", "threshold_t"),
-    "flats": ("m", "a", "ball_radius", "constant_mc_samples"),
-    "polytope": ("a", "gap_threshold", "reps_by_t"),
-    "glauber-verify": ("mass", "s_grid", "commutation_s", "commutation_reps"),
-    "mecke-verify": ("n",),
-    "kr-estimate": ("mode", "n_configs"),
-}
-SCENARIO_NAMES = tuple(_PARAMS)
-# params read as counts, and as real numbers; an integer is a real number, a bool is neither
-_INT_PARAMS = ("cells", "n_configs", "m", "constant_mc_samples", "commutation_reps", "n")
-_REAL_PARAMS = ("lam", "b", "tv_threshold", "a", "tau", "dk_threshold", "threshold_t", "ball_radius",
-                "gap_threshold", "mass")
-
-DISTANCE_SCENARIOS = ("gilbert-edges", "gilbert-lengths", "distance-power", "polytope")
-# runners that read one t (glauber-verify reads none): a longer grid would be dropped
-ONE_POINT_GRID_SCENARIOS = ("glauber-verify", "mecke-verify", "kr-estimate")
-
 
 @dataclass
 class ScenarioConfig:
@@ -73,77 +57,56 @@ class ScenarioConfig:
     seed: int = 0
     params: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check the config against its `_SCENARIOS` entry; return the params
+        checked by their kinds and typed, every default filled in."""
         if self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        spec = _SCENARIOS[self.scenario]
         if not isinstance(self.params, dict):
             raise ValueError("params must be an object")
-        if any(isinstance(t, bool) or not isinstance(t, Real) for t in self.t_grid):
-            raise ValueError("t_grid must be a list of numbers")
-        unknown = sorted(set(self.params) - set(_PARAMS[self.scenario]))
+        unknown = sorted(set(self.params) - set(spec.params))
         if unknown:
             raise ValueError(f"unknown params for {self.scenario}: {unknown}")
-        for key, value in self.params.items():
-            if key in _INT_PARAMS:
-                _as_int(value, key)
-            elif key in _REAL_PARAMS and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        grid = list(self.t_grid)
-        if not all(isfinite(t) and t > 0 for t in grid):
-            raise ValueError("t_grid entries must be positive and finite")
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("t_grid must be nonempty and strictly increasing")
-        if self.scenario in ONE_POINT_GRID_SCENARIOS and len(grid) > 1:
+        grid = _grid(self.t_grid, "t_grid")
+        if spec.one_point_grid and len(grid) > 1:
             raise ValueError(f"{self.scenario} takes a one-point t_grid, got {len(grid)} points")
-        self._check_reps(self.reps)
-        reps_by_t = self.params.get("reps_by_t", {})
-        if not isinstance(reps_by_t, dict):
-            raise ValueError("reps_by_t must be an object")
-        for t, reps in reps_by_t.items():
-            try:
-                on_grid = float(t) in grid
-            except (TypeError, ValueError):
-                raise ValueError(f"reps_by_t key {t!r} is not a number") from None
-            if not on_grid:
-                raise ValueError(f"reps_by_t key {t!r} is not in t_grid")
-            self._check_reps(_as_int(reps, f"reps_by_t[{t!r}]"))
-        if self.scenario == "distance-power" and "threshold_t" in self.params:
-            # an unmatched threshold_t would leave the threshold unchecked
-            threshold_t = float(self.params["threshold_t"])
-            if not any(abs(t - threshold_t) < 1e-9 for t in grid):
-                raise ValueError(f"threshold_t {threshold_t!r} is not in t_grid")
-
-    def _check_reps(self, reps: int) -> None:
-        if reps < 2:
-            raise ValueError("replications must be >= 2 for a sample standard error")
-        if self.scenario in DISTANCE_SCENARIOS and reps < 1000:
-            raise ValueError("distance estimation scenarios need at least 1000 replications")
+        _check_reps(self.reps, spec.least_reps)
+        params = {}
+        for key, (kind, default) in spec.params.items():
+            value = self.params[key] if key in self.params else default(self) if callable(default) else default
+            params[key] = kind(value, key, self)
+        return params
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ValueError("a config must be an object")
-        known = {"scenario", "d", "t_grid", "reps", "seed", "params"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        try:
-            t_grid = tuple(data.get("t_grid", (50.0,)))
-        except TypeError:
-            raise ValueError("t_grid must be a list") from None
-        cfg = cls(
-            scenario=data.get("scenario", ""),
-            d=_as_int(data.get("d", 2), "d"),
-            t_grid=t_grid,
-            reps=_as_int(data.get("reps", 1000), "reps"),
-            seed=_as_int(data.get("seed", 0), "seed"),
-            params=data.get("params", {}),
-        )
+        kwargs = {"scenario": "", **data}
+        for key in ("d", "reps", "seed"):
+            if key in data:
+                kwargs[key] = _as_int(data[key], key)
+        if "t_grid" in data:
+            kwargs["t_grid"] = _grid(data["t_grid"], "t_grid")
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
+
+def _check_reps(reps: int, least: int) -> int:
+    if reps < 2:
+        raise ValueError("replications must be >= 2 for a sample standard error")
+    if reps < least:
+        raise ValueError(f"distance estimation scenarios need at least {least} replications")
+    return reps
+
+
+# Param kinds: kind(value, key, cfg) checks a param and returns it typed.
 
 def _as_int(value, name: str) -> int:
     """``value`` as an int; a bool, a non-number or a fraction is an error, never truncated."""
@@ -151,6 +114,72 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _count(value, key, cfg, least=1) -> int:
+    n = _as_int(value, key)
+    if n < least:
+        raise ValueError(f"{key} must be >= {least}, got {value!r}")
+    return n
+
+
+def _real(value, key, cfg, positive=False) -> float:
+    """A finite number, an integer included; a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not isfinite(value) or positive and value <= 0:
+        raise ValueError(f"{key} must be {'positive and ' * positive}finite, got {value!r}")
+    return float(value)
+
+
+_positive = partial(_real, positive=True)  # lengths, masses, intensities and thresholds
+
+
+def _grid(value, key, cfg=None) -> tuple:
+    """A nonempty, strictly increasing list of positive finite numbers, as given."""
+    try:
+        grid = tuple(value)
+    except TypeError:
+        raise ValueError(f"{key} must be a list") from None
+    if any(isinstance(t, bool) or not isinstance(t, Real) for t in grid):
+        raise ValueError(f"{key} must be a list of numbers")
+    if not all(isfinite(t) and t > 0 for t in grid):
+        raise ValueError(f"{key} entries must be positive and finite")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{key} must be nonempty and strictly increasing")
+    return grid
+
+
+def _grid_point(value, key, cfg) -> float:
+    """A point of ``t_grid``; an unmatched one would leave its check unread."""
+    t = _real(value, key, cfg)
+    if not any(abs(s - t) < 1e-9 for s in cfg.t_grid):
+        raise ValueError(f"{key} {t!r} is not in t_grid")
+    return t
+
+
+def _reps_by_t(value, key, cfg) -> dict:
+    """Per-t replication overrides {t: reps}, each t on the grid."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object")
+    out = {}
+    for t, reps in value.items():
+        try:
+            on_grid = float(t) in cfg.t_grid
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} key {t!r} is not a number") from None
+        if not on_grid:
+            raise ValueError(f"{key} key {t!r} is not in t_grid")
+        out[float(t)] = _check_reps(_as_int(reps, f"{key}[{t!r}]"), _SCENARIOS[cfg.scenario].least_reps)
+    return out
+
+
+def _mecke_n(cfg) -> float:
+    """The default binomial n is t; a fractional t has no such n."""
+    t = cfg.t_grid[-1]
+    if not float(t).is_integer():
+        raise ValueError(f"n must be given when t is not an integer, got t = {t!r}")
+    return t
 
 
 @dataclass
@@ -229,11 +258,6 @@ def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
 # Per-replication and per-block statistics (top level so the pool of the
 # replication driver can pickle them).
 # ---------------------------------------------------------------------------
-
-def _cube_stat(d, t, kernel, kernel_args, rng):
-    """kernel(pts, *kernel_args) on Poisson(t) uniform points of [0, 1]^d."""
-    return kernel(rng.uniform(size=(rng.poisson(t), d)), *kernel_args)
-
 
 def _block_stat(domain, t, stat, stat_args, rng, size):
     """stat(points, counts, *stat_args) for a block of ``size`` Poisson(t)
@@ -354,9 +378,9 @@ def _fit_loglog_slope(ts, ds):
 # ---------------------------------------------------------------------------
 
 
-def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
+def _run_gilbert_edges(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    lam = float(cfg.params.get("lam", 1.0))
+    lam = params["lam"]
     target = PoissonLaw(0.5 * unit_ball_volume(d) * lam)
     rows = []
     for t in cfg.t_grid:
@@ -383,23 +407,12 @@ def _run_gilbert_edges(cfg: ScenarioConfig) -> RunResult:
     slope = _fit_loglog_slope(cfg.t_grid, [r.distance for r in rows])
     slope_ok = len(cfg.t_grid) < 2 or slope <= -0.5
     passed = all(r.passed for r in rows) and slope_ok
-    return RunResult(
-        rows,
-        {
-            "passed": passed,
-            "slope": slope,
-            "slope_threshold": -0.5,
-            "target_mean": target.lam,
-        },
-    )
+    return RunResult(rows, {"passed": passed, "slope": slope, "slope_threshold": -0.5, "target_mean": target.lam})
 
 
-def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
+def _run_gilbert_lengths(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    lam = float(cfg.params.get("lam", 1.0))
-    b = float(cfg.params.get("b", 1.0))
-    cells = int(cfg.params.get("cells", 64))
-    tv_threshold = float(cfg.params.get("tv_threshold", 0.1))
+    lam, b, cells, tv_threshold = params["lam"], params["b"], params["cells"], params["tv_threshold"]
     limit = bnd.edge_length_law(d, lam, b)
     rows = []
     for idx, t in enumerate(cfg.t_grid):
@@ -421,24 +434,14 @@ def _run_gilbert_lengths(cfg: ScenarioConfig) -> RunResult:
     dists = [r.distance for r in rows]
     decreasing = all(b <= a for a, b in zip(dists, dists[1:]))
     passed = decreasing and dists[-1] < tv_threshold and all(r.passed for r in rows)
-    return RunResult(
-        rows,
-        {
-            "passed": passed,
-            "decreasing": decreasing,
-            "final_tv": dists[-1],
-            "tv_threshold": tv_threshold,
-            "note": "discretized TV lower-bounds the true TV",
-        },
-    )
+    return RunResult(rows, {"passed": passed, "decreasing": decreasing, "final_tv": dists[-1],
+                            "tv_threshold": tv_threshold, "note": "discretized TV lower-bounds the true TV"})
 
 
-def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
+def _run_distance_power(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    tau = float(cfg.params.get("tau", 2 * d))
-    threshold = float(cfg.params.get("dk_threshold", 0.08))
-    threshold_t = float(cfg.params.get("threshold_t", cfg.t_grid[len(cfg.t_grid) // 2]))
-    if not abs(tau - 2 * d) < 1e-12:  # a NaN tau fails too
+    tau, threshold, threshold_t = params["tau"], params["dk_threshold"], params["threshold_t"]
+    if not abs(tau - 2 * d) < 1e-12:
         raise ValueError("closed-form target needs tau = 2d")
     levy = LevyLaw(scale=pi * unit_ball_volume(d) ** 2 / 8.0)
     if d in (1, 2):
@@ -458,29 +461,20 @@ def _run_distance_power(cfg: ScenarioConfig) -> RunResult:
     threshold_ok = next(r.distance for r in rows if abs(r.t - threshold_t) < 1e-9) < threshold
     decreasing = len(rows) < 2 or rows[0].distance > rows[-1].distance
     passed = threshold_ok and decreasing
-    return RunResult(
-        rows,
-        {
-            "passed": passed,
-            "decreasing_ends": decreasing,
-            "dk_threshold": threshold,
-            "threshold_t": threshold_t,
-            "levy_scale": levy.scale,
-        },
-    )
+    return RunResult(rows, {"passed": passed, "decreasing_ends": decreasing, "dk_threshold": threshold,
+                            "threshold_t": threshold_t, "levy_scale": levy.scale})
 
 
-def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
+def _run_gilbert_midpoints(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    a = float(cfg.params.get("a", 1.0))
-    n_configs = int(cfg.params.get("n_configs", 300))
+    a, n_configs = params["a"], params["n_configs"]
     kd = unit_ball_volume(d)
     rows = []
     for t in cfg.t_grid:
         theta = t ** (-1.0 / d)  # keeps t^2 theta^d growing
         cutoff = min(theta, a * t ** (-2.0 / d))
-        args = (d, t, transform.pair_midpoints, (cutoff,))
-        side_a = _side(replicate(_cube_stat, args, n_configs, cfg.seed), d)
+        points = replicate(sampling.poisson_points, (Domain("cube", d), t), n_configs, cfg.seed)
+        side_a = _side([transform.pair_midpoints(p, cutoff) for p in points], d)
         mass = 0.5 * kd * a**d
         rng_b = derive_rng(cfg.seed, 888_001)
         side_b = _side([rng_b.uniform(size=(rng_b.poisson(mass), d)) for _ in range(n_configs)], d)
@@ -495,12 +489,9 @@ def _run_gilbert_midpoints(cfg: ScenarioConfig) -> RunResult:
     return RunResult(rows, {"passed": passed, "target_mass": 0.5 * kd * a**d})
 
 
-def _run_flats(cfg: ScenarioConfig) -> RunResult:
+def _run_flats(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    m = int(cfg.params.get("m", 1))
-    a = float(cfg.params.get("a", 1.0))
-    ball_radius = float(cfg.params.get("ball_radius", 0.6))
-    mc_samples = int(cfg.params.get("constant_mc_samples", 200_000))
+    m, a, ball_radius = params["m"], params["a"], params["ball_radius"]
     sc = bnd.flats_constant(d, m)
     vol_k = unit_ball_volume(d) * ball_radius**d
     if (d, m) != (3, 1):
@@ -517,28 +508,23 @@ def _run_flats(cfg: ScenarioConfig) -> RunResult:
         err = abs(mean - target)
         rows.append(_row(cfg, t, "flat-midpoint-count", "mean-abs-error", err, se, 3 * se,
                          "3-sigma (intensity is exact at every t)", -1.0, passed=err <= 3 * se))
-    mc_mean, mc_se = bnd.flats_constant_mc(d, m, mc_samples, rng_seed=cfg.seed)
+    mc_mean, mc_se = bnd.flats_constant_mc(d, m, params["constant_mc_samples"], rng_seed=cfg.seed)
     mc_err = abs(mc_mean - sc)
     rows.append(_row(cfg, cfg.t_grid[-1], "flats-constant", "closed-form-vs-haar-mc", mc_err,
                      mc_se, 3 * mc_se, "3-sigma", passed=mc_err <= 3 * mc_se))
     passed = all(r.passed for r in rows)
-    return RunResult(
-        rows,
-        {"passed": passed, "constant": sc, "target_mean": sc * a ** (d - 2 * m) * vol_k},
-    )
+    return RunResult(rows, {"passed": passed, "constant": sc, "target_mean": sc * a ** (d - 2 * m) * vol_k})
 
 
-def _run_polytope(cfg: ScenarioConfig) -> RunResult:
+def _run_polytope(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
-    a = float(cfg.params.get("a", 1.0))
-    gap_threshold = float(cfg.params.get("gap_threshold", 0.02))
-    # the trend across t sits near the Monte Carlo noise floor at modest
-    # replication counts; per-t overrides let the cheap small-t runs carry
-    # enough replications to resolve it
-    reps_by_t = {float(k): int(v) for k, v in cfg.params.get("reps_by_t", {}).items()}
+    a, gap_threshold = params["a"], params["gap_threshold"]
     rows = []
     for t in cfg.t_grid:
-        reps = reps_by_t.get(float(t), cfg.reps)
+        # the trend across t sits near the Monte Carlo noise floor at modest
+        # replication counts; per-t overrides let the cheap small-t runs carry
+        # enough replications to resolve it
+        reps = params["reps_by_t"].get(float(t), cfg.reps)
         _, _, tail = bnd.polytope_law(d, t, a)  # rejects a regime the antipode search cannot take
         args = (Domain("sphere", d), t, _reversed_diameter_exceeds, (t ** (4.0 / (d - 1)), a))
         p_emp = float(replicate_blocks(_block_stat, args, reps, cfg.seed).mean())
@@ -549,23 +535,12 @@ def _run_polytope(cfg: ScenarioConfig) -> RunResult:
     final_ok = rows[-1].distance < gap_threshold
     shrink_ok = len(rows) < 2 or rows[-1].distance < rows[0].distance
     passed = final_ok and shrink_ok
-    return RunResult(
-        rows,
-        {
-            "passed": passed,
-            "limit_tail": bnd.polytope_law(d, cfg.t_grid[-1], a)[2],
-            "gap_threshold": gap_threshold,
-        },
-    )
+    return RunResult(rows, {"passed": passed, "limit_tail": tail, "gap_threshold": gap_threshold})
 
 
-def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
-    mass = float(cfg.params.get("mass", 5.0))
+def _run_glauber_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
     s_tv = 1.0  # the time at which the two simulators' count laws are compared
-    s_grid = tuple(cfg.params.get("s_grid", (0.5, 1.0, 2.0, 4.0, 8.0)))
-    commutation_s = tuple(cfg.params.get("commutation_s", (0.5, 1.0)))
-    commutation_reps = int(cfg.params.get("commutation_reps", max(2, cfg.reps // 4)))
-    target = glb.TargetIntensity.from_domain(Domain("cube", 1), scale=mass)
+    target = glb.TargetIntensity.from_domain(Domain("cube", 1), scale=params["mass"])
     omega0 = np.array([0.25, 0.5, 0.75])
     window = (0.0, 0.3)
 
@@ -595,14 +570,14 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     }
     y_loc = 0.15
     for f_idx, (name, phi) in enumerate(functionals.items()):
-        for s in commutation_s:
+        for s in params["commutation_s"]:
             lhs, rhs, pooled = glb.commutation_check(
-                omega0, y_loc, phi, target, s, window, commutation_reps, cfg.seed + 101 + f_idx
+                omega0, y_loc, phi, target, s, window, params["commutation_reps"], cfg.seed + 101 + f_idx
             )
             rows.append(_gap_row(cfg, s, f"commutation-{name}", lhs, rhs, pooled, d=1))
 
     # ergodicity from the empty configuration
-    table = glb.ergodicity_check(0, target, s_grid, cfg.reps, cfg.seed + 71)
+    table = glb.ergodicity_check(0, target, params["s_grid"], cfg.reps, cfg.seed + 71)
     tvs = [tv_s for _, tv_s, _ in table]
     monotone = all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
     for j, (s, tv_s, counts) in enumerate(table, start=1):
@@ -618,9 +593,8 @@ def _run_glauber_verify(cfg: ScenarioConfig) -> RunResult:
     return RunResult(rows, {"passed": passed, "ergodicity_monotone": monotone})
 
 
-def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
-    t = float(cfg.t_grid[-1])
-    n = int(cfg.params.get("n", int(t)))
+def _run_mecke_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
+    t, n = float(cfg.t_grid[-1]), params["n"]
     radius = 0.1  # of the test functions' neighbourhoods
     domain = Domain("cube", cfg.d)
     cases = [(g, mode) for mode in ("poisson", "binomial")
@@ -635,11 +609,10 @@ def _run_mecke_verify(cfg: ScenarioConfig) -> RunResult:
     return RunResult(rows, {"passed": passed})
 
 
-def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
+def _run_kr_estimate(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
     t = float(cfg.t_grid[-1])
-    n_configs = int(cfg.params.get("n_configs", 300))
-    mode = cfg.params.get("mode", "identity-mapping")
+    n_configs, mode = params["n_configs"], params["mode"]
     if mode != "identity-mapping":
         raise ValueError(f"unknown kr-estimate mode {mode!r}")
     domain = Domain("cube", d)
@@ -653,23 +626,46 @@ def _run_kr_estimate(cfg: ScenarioConfig) -> RunResult:
     return RunResult(rows, {"passed": rows[0].passed})
 
 
-_RUNNERS = {
-    "gilbert-edges": _run_gilbert_edges,
-    "gilbert-lengths": _run_gilbert_lengths,
-    "gilbert-midpoints": _run_gilbert_midpoints,
-    "distance-power": _run_distance_power,
-    "flats": _run_flats,
-    "polytope": _run_polytope,
-    "glauber-verify": _run_glauber_verify,
-    "mecke-verify": _run_mecke_verify,
-    "kr-estimate": _run_kr_estimate,
+@dataclass
+class _Scenario:
+    """A scenario's runner, its params as {key: (kind, default)} (a callable
+    default is computed from the config), whether its runner reads a single t
+    (a longer grid would be dropped) and its least replications per t."""
+
+    runner: object
+    params: dict
+    one_point_grid: bool = False
+    least_reps: int = 2
+
+
+_SCENARIOS = {
+    "gilbert-edges": _Scenario(_run_gilbert_edges, {"lam": (_positive, 1.0)}, least_reps=1000),
+    "gilbert-lengths": _Scenario(_run_gilbert_lengths, {"b": (_real, 1.0), "lam": (_positive, 1.0),
+                                 "cells": (_count, 64), "tv_threshold": (_positive, 0.1)}, least_reps=1000),
+    "gilbert-midpoints": _Scenario(_run_gilbert_midpoints, {"a": (_positive, 1.0), "n_configs": (_count, 300)}),
+    "distance-power": _Scenario(_run_distance_power, {
+        "tau": (_real, lambda cfg: 2 * cfg.d), "dk_threshold": (_positive, 0.08),
+        "threshold_t": (_grid_point, lambda cfg: cfg.t_grid[len(cfg.t_grid) // 2])}, least_reps=1000),
+    "flats": _Scenario(_run_flats, {"m": (_count, 1), "a": (_positive, 1.0), "ball_radius": (_positive, 0.6),
+                                    "constant_mc_samples": (_count, 200_000)}),
+    "polytope": _Scenario(_run_polytope, {"a": (_positive, 1.0), "gap_threshold": (_positive, 0.02),
+                                          "reps_by_t": (_reps_by_t, {})}, least_reps=1000),
+    "glauber-verify": _Scenario(_run_glauber_verify, {
+        "mass": (_positive, 5.0), "s_grid": (_grid, (0.5, 1.0, 2.0, 4.0, 8.0)),
+        "commutation_s": (_grid, (0.5, 1.0)), "commutation_reps": (_count, lambda cfg: max(2, cfg.reps // 4)),
+    }, one_point_grid=True),
+    "mecke-verify": _Scenario(_run_mecke_verify, {"n": (partial(_count, least=2), _mecke_n)}, one_point_grid=True),
+    # the runner checks mode, as it checks tau and (d, m): a scenario error, still before any draw
+    "kr-estimate": _Scenario(_run_kr_estimate, {"mode": (lambda value, key, cfg: value, "identity-mapping"),
+                                                "n_configs": (_count, 300)}, one_point_grid=True),
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run(config: ScenarioConfig) -> RunResult:
     """Run one scenario; every row is reproducible from (config, seed)."""
-    config.validate()
+    params = config.validate()
     # one pool serves every replication loop of the scenario; a bad
     # PPLAB_THREADS fails here, fanned out or not
     with worker_pool():
-        return _RUNNERS[config.scenario](config)
+        return _SCENARIOS[config.scenario].runner(config, params)

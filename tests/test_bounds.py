@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import erfc
 
 from oracles import (
@@ -59,8 +60,8 @@ def test_pair_integrals_run_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature on the cube pair-integral path")
 
-    monkeypatch.setattr(bnd.integrate, "quad", refuse)
-    monkeypatch.setattr(bnd.integrate, "dblquad", refuse)
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    monkeypatch.setattr(scipy.integrate, "dblquad", refuse)
     for d in (1, 2):
         for u in (0.002, 0.1, 0.5):
             i2, i3 = cube_pair_integrals(d, u)

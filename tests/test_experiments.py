@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from oracles import parse_csv, parse_json
 from pplab import cli, metrics, reporting, sampling, scenarios, transform
+from pplab.geometry import Domain
 from pplab.rng import _threads, derive_rng, replicate
 from pplab.scenarios import ResultRow, ScenarioConfig
 
@@ -231,11 +233,15 @@ def test_every_param_is_read_by_its_runner_and_set_by_a_committed_config():
 
     configs = [p.values[0] for p in _committed_configs()]
     committed = {(c["scenario"], key) for c in configs for key in c.get("params", {})}
-    for scenario, keys in scenarios._PARAMS.items():
-        source = inspect.getsource(scenarios._RUNNERS[scenario])
-        for key in keys:
+    # README's "Scenario parameters" list names every param of each scenario
+    readme = (SRC.parent / "README.md").read_text().split("Scenario parameters")[1].split("\n\n")[1]
+    documented = {line.split("`")[1]: line for line in readme.split("\n- ")}
+    for scenario, spec in scenarios._SCENARIOS.items():
+        source = inspect.getsource(spec.runner)
+        for key in spec.params:
             assert f'"{key}"' in source, f"the {scenario} runner never reads {key!r}"
             assert (scenario, key) in committed, f"no committed config sets {scenario} {key!r}"
+            assert f"`{key}`" in documented[scenario], f"README does not list {scenario} {key!r}"
 
 
 @pytest.mark.parametrize(
@@ -376,7 +382,8 @@ def test_threads_rejects_bad_value(monkeypatch, value):
     with pytest.raises(ValueError, match=f"PPLAB_THREADS.*'{value}'"):
         _threads()
     # scenarios.run checks it up front, before the runner starts
-    monkeypatch.setitem(scenarios._RUNNERS, "kr-estimate", lambda cfg: pytest.fail("the runner started"))
+    monkeypatch.setattr(scenarios._SCENARIOS["kr-estimate"], "runner",
+                        lambda cfg, params: pytest.fail("the runner started"))
     cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 5})
     with pytest.raises(ValueError, match="PPLAB_THREADS"):
         scenarios.run(cfg)
@@ -388,8 +395,8 @@ def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
     # a = 10 puts about 80 midpoints into a configuration at t = 50; each
     # replication keeps all of its atoms, with no cap
     monkeypatch.delenv("PPLAB_THREADS", raising=False)
-    args = (2, 50.0, transform.pair_midpoints, (50.0 ** -0.5,))
-    mids = replicate(scenarios._cube_stat, args, 100, 3)
+    points = replicate(sampling.poisson_points, (Domain("cube", 2), 50.0), 100, 3)
+    mids = [transform.pair_midpoints(p, 50.0 ** -0.5) for p in points]
     assert max(len(m) for m in mids) > 64
     cfg = ScenarioConfig(
         scenario="gilbert-midpoints",
@@ -443,8 +450,11 @@ def test_cli_usage_error_is_exit_1(tmp_path):
         {"scenario": "gilbert-edges", "params": [1]},
         {"scenario": "gilbert-edges", "t_grid": ["a"]},
         {"scenario": "gilbert-edges", "reps": [1000]},
+        {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": ["a"]}},
+        {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": 3}},
     ],
-    ids=["scalar-grid", "bare-value", "list-params", "string-grid", "list-reps"],
+    ids=["scalar-grid", "bare-value", "list-params", "string-grid", "list-reps", "string-s_grid",
+         "scalar-s_grid"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, config):
     cfg_path = tmp_path / "cfg.json"
@@ -464,6 +474,41 @@ def test_cli_run_rejects_malformed_reps_by_t(tmp_path, capsys, reps_by_t):
                                     "params": {"reps_by_t": reps_by_t}}))
     assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
     assert "config error: reps_by_t" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"scenario": "gilbert-lengths", "params": {"cells": 0}}, "cells"),
+        ({"scenario": "mecke-verify", "t_grid": [10.5]}, "n"),
+        ({"scenario": "mecke-verify", "t_grid": [10.0], "params": {"n": 1}}, "n"),
+        ({"scenario": "gilbert-edges", "params": {"lam": float("nan")}}, "lam"),
+        ({"scenario": "flats", "d": 3, "params": {"ball_radius": -1}}, "ball_radius"),
+        ({"scenario": "kr-estimate", "params": {"n_configs": 0}}, "n_configs"),
+        ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"commutation_s": [True]}},
+         "commutation_s"),
+        ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": ["a"]}}, "s_grid"),
+        ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": 3}}, "s_grid"),
+    ],
+    ids=["zero-cells", "fractional-t-without-n", "binomial-n-1", "nan-lam", "negative-ball_radius",
+         "zero-n_configs", "bool-commutation_s", "string-s_grid", "scalar-s_grid"],
+)
+def test_cli_run_rejects_params_out_of_range(tmp_path, capsys, monkeypatch, config, key):
+    # each of these used to run or fail late: cells 0 passed with tv-0cell = 0, t = 10.5 ran
+    # n = 10 and labelled its rows t = 10, n = 1 passed every k = 2 binomial row
+    # with gap 0, ball_radius -1 reported a negative target mean, commutation_s
+    # true ran as s = 1, and lam NaN, n_configs 0 and the malformed s_grid
+    # failed with a message that named no param or with a traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before rejecting the config")
+
+    monkeypatch.setattr(scenarios, "replicate_blocks", refuse)
+    monkeypatch.setattr(scenarios, "replicate", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
     assert not (tmp_path / "rows.csv").exists()
 
 
@@ -527,16 +572,16 @@ def _second_best_assignment(cost):
 
 
 @pytest.mark.parametrize(
-    "attr, broken",
+    "owner, attr, broken",
     [
-        ("linear_sum_assignment", _second_best_assignment),
+        (scipy.optimize, "linear_sum_assignment", _second_best_assignment),
         # atoms at the same location no longer match
-        ("_tv_cost_matrix", lambda side_a, side_b: np.maximum.outer(side_a[1], side_b[1])),
+        (metrics, "_tv_cost_matrix", lambda side_a, side_b: np.maximum.outer(side_a[1], side_b[1])),
     ],
     ids=["second-best-permutation", "cost-ignores-coincident-atoms"],
 )
-def test_ot_verification_negative_controls(monkeypatch, capsys, attr, broken):
-    monkeypatch.setattr(metrics, attr, broken)
+def test_ot_verification_negative_controls(monkeypatch, capsys, owner, attr, broken):
+    monkeypatch.setattr(owner, attr, broken)
     assert cli.main(["verify", "--suite", "ot"]) == 2
     assert "FAILURES" in capsys.readouterr().out
 
@@ -590,7 +635,7 @@ def test_kr_scenarios_make_no_lp_call(monkeypatch, scenario, params):
     def no_lp(*args, **kwargs):
         raise AssertionError("linprog called on a scenario path")
 
-    monkeypatch.setattr(metrics, "linprog", no_lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
     cfg = ScenarioConfig(scenario=scenario, d=2, t_grid=(50.0,), seed=4, params=params)
     rows = scenarios.run(cfg).rows
     assert [r.distance_name for r in rows] == ["kr-surrogate", "kr-noise-floor"]

@@ -74,7 +74,8 @@ def test_startup_imports_no_scipy_stats():
         "import pplab.cli, pplab.scenarios\n"
         "from pplab import bounds\n"
         "bounds.cube_pair_integrals(2, 0.1)\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "for name in ('scipy.stats', 'scipy.integrate', 'scipy.optimize'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
