@@ -37,6 +37,7 @@ from .laws import PoissonLaw
 
 MARGINAL_TOL = 1e-9
 DUALITY_TOL = 1e-8
+MIN_KR_CONFIGS = 100  # configurations per side of empirical_kr
 
 
 def mean_gap(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
@@ -306,8 +307,8 @@ def empirical_kr(side_a, side_b) -> KrEstimate:
     n = len(side_a[1])
     if len(side_b[1]) != n:
         raise ValueError("both collections must have the same size")
-    if n < 100:
-        raise ValueError("need at least 100 configurations per side")
+    if n < MIN_KR_CONFIGS:
+        raise ValueError(f"need at least {MIN_KR_CONFIGS} configurations per side")
     estimate = _assignment_cost(_tv_cost_matrix(side_a, side_b))
     within = _tv_cost_matrix(side_a, side_a)
     half = n // 2

@@ -21,7 +21,9 @@ flat counts and base radii, then each run's flats.  `flats` grid point i
 draws from (seed, i, b) and `mecke-verify` check c from (seed, c, b).
 `gilbert-midpoints` and `kr-estimate` use blocks of one replication
 through `rng.replicate`, and hand their configurations to
-`metrics.empirical_kr` as ragged ``(points, counts)`` sides.  Draws made
+`metrics.empirical_kr` as ragged ``(points, counts)`` sides;
+`gilbert-midpoints` first takes the midpoints of a grid point's
+configurations from one ragged `transform` call.  Draws made
 once per grid point or per side (target samples, side-B configurations)
 stay sequential on their own single streams.  Every error bar on a 1-D
 distance comes from the one `_bootstrap_se`, and each call names the
@@ -133,6 +135,7 @@ def _real(value, key, cfg, positive=False) -> float:
 
 
 _positive = partial(_real, positive=True)  # lengths, masses, intensities and thresholds
+_kr_count = partial(_count, least=metrics.MIN_KR_CONFIGS)  # configurations per side of a KR estimate
 
 
 def _grid(value, key, cfg=None) -> tuple:
@@ -474,7 +477,7 @@ def _run_gilbert_midpoints(cfg: ScenarioConfig, params: dict) -> RunResult:
         theta = t ** (-1.0 / d)  # keeps t^2 theta^d growing
         cutoff = min(theta, a * t ** (-2.0 / d))
         points = replicate(sampling.poisson_points, (Domain("cube", d), t), n_configs, cfg.seed)
-        side_a = _side([transform.pair_midpoints(p, cutoff) for p in points], d)
+        side_a = transform.pair_midpoints(*_side(points, d), cutoff)
         mass = 0.5 * kd * a**d
         rng_b = derive_rng(cfg.seed, 888_001)
         side_b = _side([rng_b.uniform(size=(rng_b.poisson(mass), d)) for _ in range(n_configs)], d)
@@ -642,22 +645,24 @@ _SCENARIOS = {
     "gilbert-edges": _Scenario(_run_gilbert_edges, {"lam": (_positive, 1.0)}, least_reps=1000),
     "gilbert-lengths": _Scenario(_run_gilbert_lengths, {"b": (_real, 1.0), "lam": (_positive, 1.0),
                                  "cells": (_count, 64), "tv_threshold": (_positive, 0.1)}, least_reps=1000),
-    "gilbert-midpoints": _Scenario(_run_gilbert_midpoints, {"a": (_positive, 1.0), "n_configs": (_count, 300)}),
+    "gilbert-midpoints": _Scenario(_run_gilbert_midpoints, {"a": (_positive, 1.0),
+                                                            "n_configs": (_kr_count, 300)}),
     "distance-power": _Scenario(_run_distance_power, {
         "tau": (_real, lambda cfg: 2 * cfg.d), "dk_threshold": (_positive, 0.08),
         "threshold_t": (_grid_point, lambda cfg: cfg.t_grid[len(cfg.t_grid) // 2])}, least_reps=1000),
     "flats": _Scenario(_run_flats, {"m": (_count, 1), "a": (_positive, 1.0), "ball_radius": (_positive, 0.6),
-                                    "constant_mc_samples": (_count, 200_000)}),
+                                    "constant_mc_samples": (partial(_count, least=2), 200_000)}),
     "polytope": _Scenario(_run_polytope, {"a": (_positive, 1.0), "gap_threshold": (_positive, 0.02),
                                           "reps_by_t": (_reps_by_t, {})}, least_reps=1000),
     "glauber-verify": _Scenario(_run_glauber_verify, {
         "mass": (_positive, 5.0), "s_grid": (_grid, (0.5, 1.0, 2.0, 4.0, 8.0)),
-        "commutation_s": (_grid, (0.5, 1.0)), "commutation_reps": (_count, lambda cfg: max(2, cfg.reps // 4)),
+        "commutation_s": (_grid, (0.5, 1.0)),
+        "commutation_reps": (partial(_count, least=2), lambda cfg: max(2, cfg.reps // 4)),
     }, one_point_grid=True),
     "mecke-verify": _Scenario(_run_mecke_verify, {"n": (partial(_count, least=2), _mecke_n)}, one_point_grid=True),
     # the runner checks mode, as it checks tau and (d, m): a scenario error, still before any draw
     "kr-estimate": _Scenario(_run_kr_estimate, {"mode": (lambda value, key, cfg: value, "identity-mapping"),
-                                                "n_configs": (_count, 300)}, one_point_grid=True),
+                                                "n_configs": (_kr_count, 300)}, one_point_grid=True),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 

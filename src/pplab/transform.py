@@ -5,13 +5,14 @@ The measure-level ``induce`` enumerates unordered subsets of distinct
 points and is exact (integer multiplicities).  The ``pair_*`` helpers are
 vectorized fast paths for the two-point kernels used by the experiment
 scenarios, for one replication or for a ragged batch of replications
-(the plural names, which take the points of consecutive replications and
-their counts).  Each has one production path: the cutoff kernels and the
-near-antipode search share one sort-and-sweep fixed-radius pair search
-(``_pairs_within``) in row-major order, and the no-cutoff kernels use
-``pdist``.  Tests cross-check them against the enumeration oracles (pair
-kernels, U-statistic counts and sums) and, bit for bit, against a dense
-upper-triangle reference, all kept in ``tests/oracles.py``.
+(the plural names and ``pair_midpoints``, which take the points of
+consecutive replications and their counts).  Each has one production
+path: the cutoff kernels and the near-antipode search share one
+sort-and-sweep fixed-radius pair search (``_pairs_within``) in row-major
+order, and the no-cutoff kernels use ``pdist``.  Tests cross-check them
+against the enumeration oracles (pair kernels, U-statistic counts and
+sums) and, bit for bit, against a dense upper-triangle reference, all kept
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -245,11 +246,17 @@ def pair_sum_inverse_power(points: np.ndarray, tau: float) -> float:
     return float(np.sum(dist ** (-tau)))
 
 
-def pair_midpoints(points: np.ndarray, cutoff: float) -> np.ndarray:
-    """Midpoints of unordered pairs within the cutoff, shape (count, d)."""
+def pair_midpoints(points: np.ndarray, counts, cutoff: float):
+    """Midpoints of each replication's unordered pairs within the cutoff.
+
+    ``points`` holds the points of consecutive replications, ``counts[r]``
+    of them for replication r.  Returns ``(midpoints, midpoint_counts)``:
+    the midpoints, shape (total, d), of consecutive replications in the
+    same layout, each replication's in row-major pair order.
+    """
     pts = _as_points(points)
-    _, i, j, _ = _pairs_within(pts, [len(pts)], cutoff)
-    return (pts[i] + pts[j]) / 2.0
+    rep, i, j, _ = _pairs_within(pts, counts, cutoff)
+    return (pts[i] + pts[j]) / 2.0, np.bincount(rep, minlength=len(counts))
 
 
 def max_pair_distance(points: np.ndarray) -> float:

@@ -191,7 +191,7 @@ def test_glauber_small_reps_rows_have_standard_errors():
     assert len(commutation) == 6
     assert all(np.isfinite(r.stderr) for r in res.rows)
     cfg.params = {"commutation_reps": 1}
-    with pytest.raises(ValueError, match="at least 2 replications"):
+    with pytest.raises(ValueError, match="commutation_reps must be >= 2"):
         scenarios.run(cfg)
 
 
@@ -384,7 +384,7 @@ def test_threads_rejects_bad_value(monkeypatch, value):
     # scenarios.run checks it up front, before the runner starts
     monkeypatch.setattr(scenarios._SCENARIOS["kr-estimate"], "runner",
                         lambda cfg, params: pytest.fail("the runner started"))
-    cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 5})
+    cfg = ScenarioConfig(scenario="kr-estimate", t_grid=(5.0,), params={"n_configs": 100})
     with pytest.raises(ValueError, match="PPLAB_THREADS"):
         scenarios.run(cfg)
     monkeypatch.delenv("PPLAB_THREADS")
@@ -396,7 +396,7 @@ def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
     # replication keeps all of its atoms, with no cap
     monkeypatch.delenv("PPLAB_THREADS", raising=False)
     points = replicate(sampling.poisson_points, (Domain("cube", 2), 50.0), 100, 3)
-    mids = [transform.pair_midpoints(p, 50.0 ** -0.5) for p in points]
+    mids = [transform.pair_midpoints(p, [len(p)], 50.0 ** -0.5)[0] for p in points]
     assert max(len(m) for m in mids) > 64
     cfg = ScenarioConfig(
         scenario="gilbert-midpoints",
@@ -410,6 +410,46 @@ def test_midpoint_configs_over_64_atoms_complete(monkeypatch):
     # the ragged per-replication arrays cross the process pool unchanged
     monkeypatch.setenv("PPLAB_THREADS", "2")
     assert scenarios.run(cfg).rows == rows
+
+
+def _dense_midpoints(pts, cutoff):
+    """Midpoints of one configuration's pairs i < j within the cutoff, from
+    the dense upper triangle in row-major order."""
+    iu, ju = np.triu_indices(len(pts), k=1)
+    keep = np.linalg.norm(pts[iu] - pts[ju], axis=1) <= cutoff
+    return (pts[iu[keep]] + pts[ju[keep]]) / 2.0
+
+
+def test_midpoint_side_a_is_each_configurations_midpoints(monkeypatch):
+    # side A holds, in replication order, the midpoints of each configuration
+    # the runner draws, as the per-configuration dense reference gives them
+    monkeypatch.delenv("PPLAB_THREADS", raising=False)
+    sides = []
+    empirical_kr = metrics.empirical_kr
+
+    def record(side_a, side_b):
+        sides.append(side_a)
+        return empirical_kr(side_a, side_b)
+
+    monkeypatch.setattr(metrics, "empirical_kr", record)
+    t, a = 200.0, 1.0
+    cfg = ScenarioConfig(scenario="gilbert-midpoints", d=2, t_grid=(t,), seed=42,
+                         params={"a": a, "n_configs": 100})
+    scenarios.run(cfg)
+    cutoff = min(t ** (-1.0 / 2), a * t ** (-2.0 / 2))
+    points = replicate(sampling.poisson_points, (Domain("cube", 2), t), 100, 42)
+    oracle = [_dense_midpoints(p, cutoff) for p in points]
+
+    def same(side, configs):
+        want = scenarios._side(configs, 2)
+        return all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(side, want))
+
+    (side_a,) = sides
+    assert same(side_a, oracle)
+    # negative control: two configurations' midpoints swapped
+    i, j = [k for k, m in enumerate(oracle) if len(m)][:2]
+    oracle[i], oracle[j] = oracle[j], oracle[i]
+    assert not same(side_a, oracle)
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -486,20 +526,28 @@ def test_cli_run_rejects_malformed_reps_by_t(tmp_path, capsys, reps_by_t):
         ({"scenario": "gilbert-edges", "params": {"lam": float("nan")}}, "lam"),
         ({"scenario": "flats", "d": 3, "params": {"ball_radius": -1}}, "ball_radius"),
         ({"scenario": "kr-estimate", "params": {"n_configs": 0}}, "n_configs"),
+        ({"scenario": "kr-estimate", "params": {"n_configs": 99}}, "n_configs"),
+        ({"scenario": "gilbert-midpoints", "t_grid": [20.0], "params": {"n_configs": 50}}, "n_configs"),
+        ({"scenario": "flats", "d": 3, "params": {"constant_mc_samples": 1}}, "constant_mc_samples"),
+        ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"commutation_reps": 1}},
+         "commutation_reps"),
         ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"commutation_s": [True]}},
          "commutation_s"),
         ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": ["a"]}}, "s_grid"),
         ({"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": 3}}, "s_grid"),
     ],
     ids=["zero-cells", "fractional-t-without-n", "binomial-n-1", "nan-lam", "negative-ball_radius",
-         "zero-n_configs", "bool-commutation_s", "string-s_grid", "scalar-s_grid"],
+         "zero-n_configs", "kr-n_configs-99", "midpoints-n_configs-50", "constant_mc_samples-1",
+         "commutation_reps-1", "bool-commutation_s", "string-s_grid", "scalar-s_grid"],
 )
 def test_cli_run_rejects_params_out_of_range(tmp_path, capsys, monkeypatch, config, key):
     # each of these used to run or fail late: cells 0 passed with tv-0cell = 0, t = 10.5 ran
     # n = 10 and labelled its rows t = 10, n = 1 passed every k = 2 binomial row
     # with gap 0, ball_radius -1 reported a negative target mean, commutation_s
     # true ran as s = 1, and lam NaN, n_configs 0 and the malformed s_grid
-    # failed with a message that named no param or with a traceback
+    # failed with a message that named no param or with a traceback; n_configs
+    # below 100, constant_mc_samples 1 and commutation_reps 1 failed only
+    # after the draws
     def refuse(*args, **kwargs):
         raise AssertionError("drew before rejecting the config")
 

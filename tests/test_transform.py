@@ -147,7 +147,7 @@ def test_fast_pair_paths_match_induce(n, cutoff, seed):
     pts = rng.uniform(size=(n, 2))
     cfg = Configuration.from_array(pts, space="t")
     assert pair_count_within(pts, cutoff) == u_statistic_count(cfg, distance_kernel(cutoff))
-    mids = pair_midpoints(pts, cutoff)
+    mids = pair_midpoints(pts, [len(pts)], cutoff)[0]
     assert len(mids) == pair_count_within(pts, cutoff)
     s_direct = pair_sum_power(pts, 1.0, cutoff)
     s_ref = u_statistic_sum(cfg, distance_kernel(cutoff))
@@ -189,7 +189,7 @@ def test_tree_path_equals_dense_path():
                     assert pair_sum_power(pts, b, cutoff) == (
                         float(np.sum(dist**b)) if len(dist) else 0.0
                     )
-                mids = pair_midpoints(pts, cutoff)
+                mids = pair_midpoints(pts, [len(pts)], cutoff)[0]
                 assert mids.shape == (len(dist), d)
                 assert np.array_equal(mids, (pts[iu] + pts[ju]) / 2.0)
             _, _, every = _dense_pairs(pts, np.inf)
@@ -206,7 +206,7 @@ def test_cutoff_ties_decided_like_dense_path():
     iu, ju, dist = _dense_pairs(pts, cutoff)
     assert len(dist) == 1298
     assert pair_count_within(pts, cutoff) == len(dist)
-    assert np.array_equal(pair_midpoints(pts, cutoff), (pts[iu] + pts[ju]) / 2.0)
+    assert np.array_equal(pair_midpoints(pts, [len(pts)], cutoff)[0], (pts[iu] + pts[ju]) / 2.0)
 
 
 def test_negative_cutoff_admits_no_pair():
@@ -214,14 +214,14 @@ def test_negative_cutoff_admits_no_pair():
     for n in (2, 25, 300):
         assert pair_count_within(pts[:n], -1.0) == 0
         assert pair_sum_power(pts[:n], 1.0, -1.0) == 0.0
-        assert pair_midpoints(pts[:n], -1.0).shape == (0, 2)
+        assert pair_midpoints(pts[:n], [n], -1.0)[0].shape == (0, 2)
 
 
 def test_zero_cutoff_counts_coincident_points():
     pts = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2]])
     assert pair_count_within(pts, 0.0) == 3
     assert pair_sum_power(pts, 0.0, 0.0) == 3.0
-    assert np.array_equal(pair_midpoints(pts, 0.0), np.tile([0.1, 0.2], (3, 1)))
+    assert np.array_equal(pair_midpoints(pts, [len(pts)], 0.0)[0], np.tile([0.1, 0.2], (3, 1)))
     # the no-cutoff kernel skips the coincident pairs instead
     far = np.linalg.norm(pts[1] - pts[0])
     assert pair_sum_inverse_power(pts, 2.0) == 3 * far**-2.0
@@ -292,6 +292,57 @@ def test_ragged_pairs_full_block_pair_at_cutoff_in_last_replication():
         rep, i, j, dist = _pairs_within(pts, counts, cutoff)
         assert (rep[-1], i[-1], j[-1], dist[-1]) == (BLOCK - 1, len(pts) - 2, len(pts) - 1, cutoff)
         _assert_ragged_matches_dense(pts, counts, cutoff)
+
+
+def _assert_ragged_midpoints_match_dense(pts, counts, cutoff):
+    """``pair_midpoints`` of a ragged batch against each configuration's
+    dense upper-triangle midpoints, bit for bit, and its counts against
+    ``pair_count_within`` of each configuration."""
+    mids, mid_counts = pair_midpoints(pts, counts, cutoff)
+    want, want_counts = [np.empty((0, pts.shape[1]))], []
+    start = 0
+    for c in counts:
+        conf = pts[start : start + c]
+        iu, ju, _ = _dense_pairs(conf, cutoff)
+        want.append((conf[iu] + conf[ju]) / 2.0)
+        want_counts.append(pair_count_within(conf, cutoff))
+        start += c
+    want = np.concatenate(want)
+    assert mids.shape == want.shape
+    assert mids.tobytes() == want.tobytes()
+    assert mid_counts.tolist() == want_counts
+    return len(mids)
+
+
+def test_ragged_midpoints_equal_dense_per_configuration():
+    rng = derive_rng(15)
+    for d in (1, 2):
+        # empty and one-point configurations between fuller ones
+        counts = np.array([0, 1, 30, 0, 0, 2, 1, 45, 0, 17, 1])
+        pts = rng.uniform(size=(counts.sum(), d))
+        for cutoff in (0.0, 0.05, 0.3, np.inf):
+            _assert_ragged_midpoints_match_dense(pts, counts, cutoff)
+        pairs = sum(c * (c - 1) // 2 for c in counts)
+        assert _assert_ragged_midpoints_match_dense(pts, counts, np.sqrt(d)) == pairs
+        assert _assert_ragged_midpoints_match_dense(pts, counts, -1.0) == 0
+    for counts in ([], [0], [1], [0, 0, 1]):
+        pts = rng.uniform(size=(sum(counts), 2))
+        assert _assert_ragged_midpoints_match_dense(pts, counts, 0.5) == 0
+
+
+def test_ragged_midpoints_zero_cutoff_and_ties():
+    # coincident points in two configurations, never paired across them
+    pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2]])
+    assert _assert_ragged_midpoints_match_dense(pts, [3, 3], 0.0) == 1 + 3
+    # the lattice of test_cutoff_ties_decided_like_dense_path, three times over
+    g = np.arange(20) * 0.1
+    lattice = np.array([(a, b) for a in g for b in g])
+    tiled = np.tile(lattice, (3, 1))
+    assert _assert_ragged_midpoints_match_dense(tiled, [400] * 3, 0.1 * np.sqrt(2)) == 3 * 1298
+    # on a line, each of the 19 neighbour gaps is 0.1 up to rounding, and the
+    # dense test keeps only some of them
+    line = np.tile(g, 2)[:, None]
+    assert 0 < _assert_ragged_midpoints_match_dense(line, [20, 20], 0.1) < 2 * 19
 
 
 def test_antipodal_pairs_match_brute_force():
