@@ -6,7 +6,8 @@ for d <= 2: exact for d = 1, and for d = 2 with four edge-strip and corner
 constants stored as float literals (their quadrature oracle is in
 tests/oracles.py).  Higher dimensions fall back to nested Monte Carlo with
 a reported standard error.  The polytope limit term is the one adaptive
-quadrature evaluated at run time.
+quadrature evaluated at run time.  Bounds and moments take their source as
+``n``: None for a Poisson process, the point count for a binomial one.
 """
 
 from __future__ import annotations
@@ -136,85 +137,53 @@ class MomentPair:
     second_moment: float
 
 
-def gilbert_moments(
-    d: int, t: float, cutoff: float, mode: str = "poisson", n: int | None = None
-) -> MomentPair:
+def gilbert_moments(d: int, t: float, cutoff: float, n: int | None = None) -> MomentPair:
     """Closed-quadrature moments of the edge count on the unit cube."""
     i2, i3 = cube_pair_integrals(d, cutoff)
-    if mode == "poisson":
+    if n is None:
         mean = 0.5 * t**2 * i2
         second = mean**2 + mean + t**3 * i3
-    elif mode == "binomial":
-        if n is None:
-            raise ValueError("binomial mode needs n")
+    else:
         mean = 0.5 * perm(n, 2) * i2
         second = 0.25 * perm(n, 4) * i2**2 + perm(n, 3) * i3 + 0.5 * perm(n, 2) * i2
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return MomentPair(mean=mean, second_moment=second)
 
 
 # ---------------------------------------------------------------------------
-# Assembled bounds.
+# Assembled bounds, for a Poisson source (n None) or a binomial source of n
+# points, which adds 6^k k! x^2 / n.  Below k points, the kernel arity, the
+# induced process is empty and the first term alone is the bound.
 # ---------------------------------------------------------------------------
 
 
-def thm_main_bound(
-    dtv: float,
-    r: float,
-    k: int,
-    mode: str = "poisson",
-    mass_l: float = 0.0,
-    n: int | None = None,
-    moments: MomentPair | None = None,
-) -> float:
-    """Transport-distance bound between the induced process and its target.
+def _binomial_excess(k: int, x: float, n: int) -> float:
+    return 6**k * factorial(k) * x**2 / n
 
-    The r-form is dtv + 2^(k+1)/k! * r (plus 6^k k! mass^2 / n for a
-    binomial source); when moments are supplied the sharper second-moment
-    form is used instead.  A binomial source with fewer points than the
-    kernel arity induces the empty process, and the bound degenerates to
-    the dtv term alone (which then equals the target's total mass).
-    """
+
+def thm_main_bound(dtv: float, r: float, k: int, n: int | None = None, mass_l: float = 0.0) -> float:
+    """Transport-distance bound between the induced process and its target:
+    dtv + 2^(k+1)/k! * r, plus the binomial excess of mass_l."""
     if min(dtv, r, mass_l) < 0:
         raise ValueError("bound inputs must be nonnegative")
-    if mode not in ("poisson", "binomial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "binomial":
-        if n is None:
-            raise ValueError("binomial mode needs n")
-        if n < k:
-            return dtv
-    if moments is not None:
-        m1, m2 = moments.mean, moments.second_moment
-        if mode == "poisson":
-            return dtv + 2.0 * (m2 - m1 - m1**2)
-        ratio = perm(n - k, k) / perm(n, k) if n >= 2 * k else 0.0
-        return dtv + 2.0 * (m2 - m1 - ratio * m1**2) + 6**k * factorial(k) * m1**2 / n
+    if n is not None and n < k:
+        return dtv
     out = dtv + 2.0 ** (k + 1) / factorial(k) * r
-    if mode == "binomial":
-        out += 6**k * factorial(k) * mass_l**2 / n
+    if n is not None:
+        out += _binomial_excess(k, mass_l, n)
     return out
 
 
-def ustat_poisson_bound(
-    moments: MomentPair,
-    lam: float,
-    k: int,
-    mode: str = "poisson",
-    t: float | None = None,
-) -> float:
+def ustat_poisson_bound(moments: MomentPair, lam: float, k: int, n: int | None = None) -> float:
     """Wasserstein bound for approximating the tuple-count statistic by a
     Poisson variable with mean lam, from the statistic's first two moments."""
     m1, m2 = moments.mean, moments.second_moment
     base = abs(m1 - lam)
-    if mode == "poisson":
+    if n is None:
         return base + 2.0 * (m2 - m1 - m1**2)
-    if t is None:
-        raise ValueError("binomial mode needs t")
-    n = int(np.ceil(t))
+    if n < k:
+        return base
     ratio = perm(n - k, k) / perm(n, k) if n >= 2 * k else 0.0
-    return base + 2.0 * (m2 - m1 - ratio * m1**2) + 6**k * factorial(k) * m1**2 / t
+    return base + 2.0 * (m2 - m1 - ratio * m1**2) + _binomial_excess(k, m1, n)
 
 
 def gilbert_intensity_error(d: int, t: float, a_tilde: float) -> float:

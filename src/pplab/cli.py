@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 when every checked threshold is met, 2 on a threshold
-violation, 1 on usage or configuration errors.
+violation, 1 on usage, configuration or output errors.
 """
 
 from __future__ import annotations
@@ -75,7 +75,13 @@ def _cmd_run(args) -> int:
         return 1
     ext = {"csv": "csv", "json": "json", "gnuplot-dat": "dat"}[args.format]
     out_path = args.output or f"{cfg.scenario}.{ext}"
-    reporting.emit(result.rows, args.format, out_path)
+    try:
+        reporting.emit(result.rows, args.format, out_path)
+    except OSError as exc:
+        # the run is done: its rows still reach stdout
+        print(f"output error: {exc}", file=sys.stderr)
+        _report(result)
+        return 1
     print(f"wrote {out_path}")
     return _report(result)
 

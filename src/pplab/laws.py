@@ -115,14 +115,14 @@ class LevyLaw:
             raise ValueError("scale must be positive")
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _no_nan(x)
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = special.erfc(np.sqrt(self.scale / (2.0 * x[pos])))
         return out
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _no_nan(x)
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = (
@@ -133,7 +133,7 @@ class LevyLaw:
         return out
 
     def ppf(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = _no_nan(u)
         return self.scale / (2.0 * special.erfcinv(u) ** 2)
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -247,7 +247,7 @@ class NeighborCountG(MeckeTestFunction):
         return np.minimum(_tuple_ball_counts(y, points, counts, self.radius).sum(axis=1), self.cap) / self.cap
 
 
-def _mecke_block(domain, t, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
+def _mecke_block(domain, t, g, n, tuple_weight, rng, size) -> np.ndarray:
     """Both sides of ``mecke_check`` for a block of ``size`` replications:
     ``(size, 2)`` rows of the left-side g-sum and the right-side term.
 
@@ -255,18 +255,12 @@ def _mecke_block(domain, t, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
     then the right side's ambient counts, tuples y and ambient points.  The
     points are drawn and evaluated run by run (``_runs``).
     """
-    if mode == "poisson":
-        counts = rng.poisson(t * domain.mass, size)
-    else:
-        counts = np.full(size, n)
+    counts = rng.poisson(t * domain.mass, size) if n is None else np.full(size, n)
     sums = np.concatenate([g.block_sums(domain.sample(rng, stop - start), counts[lo:hi])
                            for lo, hi, start, stop in _runs(counts)])
-    if mode == "poisson":
-        # a fresh sample of the same law for the right side
-        ambient_counts = rng.poisson(t * domain.mass, size)
-    else:
-        # the right side sees an (n - k)-point sample plus the added atoms
-        ambient_counts = np.full(size, max(n - g.k, 0))
+    # the right side sees a fresh Poisson sample, or an (n - k)-point
+    # sample, plus the added atoms
+    ambient_counts = rng.poisson(t * domain.mass, size) if n is None else np.full(size, max(n - g.k, 0))
     y = domain.sample(rng, size * g.k).reshape(size, g.k, -1)
     val = np.concatenate([g.block_values(y[lo:hi], domain.sample(rng, stop - start), ambient_counts[lo:hi])
                           for lo, hi, start, stop in _runs(ambient_counts)])
@@ -276,16 +270,10 @@ def _mecke_block(domain, t, g, mode, n, tuple_weight, rng, size) -> np.ndarray:
 
 
 def mecke_check(
-    domain: Domain,
-    t: float,
-    g: MeckeTestFunction,
-    reps: int,
-    seed: int,
-    *stream: int,
-    mode: str = "poisson",
-    n: int | None = None,
+    domain: Domain, t: float, g: MeckeTestFunction, reps: int, seed: int, *stream: int, n: int | None = None
 ) -> tuple[float, float, float]:
-    """Monte Carlo both sides of the distinct-tuple moment identity.
+    """Monte Carlo both sides of the distinct-tuple moment identity, for a
+    Poisson(t * mass) sample (n None) or a binomial sample of n points.
 
     Left side: mean over replications of the g-sum over ordered distinct
     k-tuples of a fresh sample, k = ``g.k``.  Right side: mean of
@@ -300,14 +288,6 @@ def mecke_check(
         raise ValueError("only k in {1, 2} is supported")
     if not np.isfinite(g.bound):
         raise ValueError("test function must declare a finite bound")
-    if mode not in ("poisson", "binomial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "binomial":
-        if n is None:
-            raise ValueError("binomial mode needs the point count n")
-        tuple_weight = float(perm(n, g.k))
-    else:
-        tuple_weight = (t * domain.mass) ** g.k
-
-    args = (domain, t, g, mode, n, tuple_weight)
+    tuple_weight = (t * domain.mass) ** g.k if n is None else float(perm(n, g.k))
+    args = (domain, t, g, n, tuple_weight)
     return mean_gap(*replicate_blocks(_mecke_block, args, reps, seed, *stream).T)

@@ -72,6 +72,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown params for {self.scenario}: {unknown}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         grid = _grid(self.t_grid, "t_grid")
         if spec.one_point_grid and len(grid) > 1:
             raise ValueError(f"{self.scenario} takes a one-point t_grid, got {len(grid)} points")
@@ -403,8 +405,7 @@ def _run_gilbert_edges(cfg: ScenarioConfig, params: dict) -> RunResult:
             return metrics.wasserstein1(grid, cdf)
 
         se = _bootstrap_se(resampled_w1, derive_rng(cfg.seed, 77_003), 200)
-        moments = bnd.gilbert_moments(d, t, theta, mode="poisson")
-        bound = bnd.ustat_poisson_bound(moments, target.lam, k=2, mode="poisson")
+        bound = bnd.ustat_poisson_bound(bnd.gilbert_moments(d, t, theta), target.lam, k=2)
         rows.append(_row(cfg, t, "edge-count", "wasserstein", dw, se, bound, "moment-form",
                          -min(2.0 / d, 1.0), passed=dw + 3 * se <= bound))
     slope = _fit_loglog_slope(cfg.t_grid, [r.distance for r in rows])
@@ -600,14 +601,14 @@ def _run_mecke_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
     t, n = float(cfg.t_grid[-1]), params["n"]
     radius = 0.1  # of the test functions' neighbourhoods
     domain = Domain("cube", cfg.d)
-    cases = [(g, mode) for mode in ("poisson", "binomial")
+    # (source, row t, label): a Poisson(t) sample, then a binomial one of n points
+    cases = [(g, *source) for source in ((None, t, "poisson"), (n, n, "binomial"))
              for g in (sampling.ConstantG(1), sampling.SingletonNeighborG(radius),
                        sampling.PairProximityG(radius), sampling.NeighborCountG(radius))]
     rows = []
-    for c, (g, mode) in enumerate(cases):
-        lhs, rhs, pooled = sampling.mecke_check(domain, t, g, cfg.reps, cfg.seed, c, mode=mode, n=n)
-        statistic = f"tuple-sum-k{g.k}-{type(g).__name__}-{mode}"
-        rows.append(_gap_row(cfg, t if mode == "poisson" else n, statistic, lhs, rhs, pooled))
+    for c, (g, source, row_t, label) in enumerate(cases):
+        lhs, rhs, pooled = sampling.mecke_check(domain, t, g, cfg.reps, cfg.seed, c, n=source)
+        rows.append(_gap_row(cfg, row_t, f"tuple-sum-k{g.k}-{type(g).__name__}-{label}", lhs, rhs, pooled))
     passed = all(r.passed for r in rows)
     return RunResult(rows, {"passed": passed})
 

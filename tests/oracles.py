@@ -180,15 +180,15 @@ def gilbert_moments_mc(
     cutoff: float,
     reps: int,
     rng_seed: int,
-    mode: str = "poisson",
     n: int | None = None,
 ) -> MomentEstimate:
-    """Monte Carlo moments of the edge count on the unit cube, the oracle of
+    """Monte Carlo moments of the edge count on the unit cube, for a
+    Poisson(t) source (n None) or n points; the oracle of
     ``bounds.gilbert_moments``."""
     counts = np.empty(reps)
     for i in range(reps):
         rng = derive_rng(rng_seed, i)
-        npts = rng.poisson(t) if mode == "poisson" else n
+        npts = rng.poisson(t) if n is None else n
         pts = rng.uniform(size=(npts, d))
         counts[i] = pair_count_within(pts, cutoff)
     mean = float(counts.mean())

@@ -135,8 +135,8 @@ def test_gilbert_moments_match_mc_poisson():
 
 
 def test_gilbert_moments_match_mc_binomial():
-    mp = gilbert_moments(2, 50.0, 0.02, mode="binomial", n=50)
-    mc = gilbert_moments_mc(2, 50.0, 0.02, reps=20_000, rng_seed=42, mode="binomial", n=50)
+    mp = gilbert_moments(2, 50.0, 0.02, n=50)
+    mc = gilbert_moments_mc(2, 50.0, 0.02, reps=20_000, rng_seed=42, n=50)
     assert abs(mp.mean - mc.mean) < 3 * mc.mean_se
     assert abs(mp.second_moment - mc.second_moment) < 3 * mc.second_se
 
@@ -152,14 +152,14 @@ def test_moment_jensen_defect_nonnegative():
 def test_thm_main_bound_arithmetic():
     assert thm_main_bound(0.1, 0.05, k=2) == pytest.approx(0.1 + 4 * 0.05)
     assert thm_main_bound(0.0, 0.0, k=1) == 0.0
-    val = thm_main_bound(0.1, 0.05, k=2, mode="binomial", mass_l=2.0, n=100)
+    val = thm_main_bound(0.1, 0.05, k=2, n=100, mass_l=2.0)
     assert val == pytest.approx(0.1 + 4 * 0.05 + 36 * 2 * 4.0 / 100)
 
 
 def test_thm_main_bound_binomial_degenerate():
     # fewer points than the arity: the induced process is empty and the
     # dtv term (the target's whole mass) is the bound
-    assert thm_main_bound(3.7, 0.0, k=2, mode="binomial", mass_l=0.0, n=1) == 3.7
+    assert thm_main_bound(3.7, 0.0, k=2, n=1, mass_l=0.0) == 3.7
 
 
 def test_moment_form_below_r_form():
@@ -167,7 +167,7 @@ def test_moment_form_below_r_form():
         theta = 1.0 / t
         mp = gilbert_moments(2, t, theta)
         r = r_term(2, t, theta).value
-        m_form = thm_main_bound(0.0, 0.0, k=2, moments=mp)
+        m_form = ustat_poisson_bound(mp, mp.mean, k=2)
         r_form = thm_main_bound(0.0, r, k=2)
         assert 0 <= m_form <= r_form + 1e-12
 
@@ -188,8 +188,19 @@ def test_ustat_poisson_bound_binomial_has_extra_term():
     lam = 2.5
     mp = MomentPair(mean=lam, second_moment=lam**2 + lam)
     poisson_val = ustat_poisson_bound(mp, lam, k=2)
-    binom_val = ustat_poisson_bound(mp, lam, k=2, mode="binomial", t=100.0)
+    binom_val = ustat_poisson_bound(mp, lam, k=2, n=100)
     assert binom_val > poisson_val
+
+
+def test_binomial_moment_form_closed_form_and_below_arity():
+    # n = 10, k = 2: ratio (8)_2 / (10)_2 = 56 / 90 and excess 6^2 2! m1^2 / 10
+    mp, lam = MomentPair(mean=2.0, second_moment=7.0), 1.5
+    want = abs(2.0 - lam) + 2 * (7.0 - 2.0 - 56 / 90 * 2.0**2) + 36 * 2 * 2.0**2 / 10
+    assert ustat_poisson_bound(mp, lam, k=2, n=10) == pytest.approx(want, rel=1e-14)
+    # below the arity the induced process is empty: the first term alone
+    for n in (0, 1):
+        assert ustat_poisson_bound(mp, lam, k=2, n=n) == abs(2.0 - lam)
+        assert thm_main_bound(0.3, 0.2, k=2, n=n, mass_l=4.0) == 0.3
 
 
 # --- intensity error bound ---------------------------------------------------------
@@ -339,5 +350,5 @@ def test_bounds_monotone_in_inputs():
     base = thm_main_bound(0.1, 0.05, k=2)
     assert thm_main_bound(0.2, 0.05, k=2) >= base
     assert thm_main_bound(0.1, 0.06, k=2) >= base
-    b_binom = thm_main_bound(0.1, 0.05, k=2, mode="binomial", mass_l=1.0, n=50)
-    assert thm_main_bound(0.1, 0.05, k=2, mode="binomial", mass_l=2.0, n=50) >= b_binom
+    b_binom = thm_main_bound(0.1, 0.05, k=2, n=50, mass_l=1.0)
+    assert thm_main_bound(0.1, 0.05, k=2, n=50, mass_l=2.0) >= b_binom

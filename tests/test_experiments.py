@@ -472,6 +472,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert "summary:" in proc.stdout
 
 
+def test_cli_run_unwritable_output_keeps_the_rows(tmp_path):
+    # an --output that is a directory died in reporting.emit with a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "mecke-verify", "d": 2, "t_grid": [10.0], "reps": 600,
+                                    "seed": 2, "params": {"n": 10}}))
+    proc = _run_cli("run", "--config", str(cfg_path), "--output", str(tmp_path), cwd=str(tmp_path))
+    assert proc.returncode == 1, proc.stderr + proc.stdout
+    assert "output error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("mecke-verify t=") == 8
+    assert "summary:" in proc.stdout
+
+
 def test_cli_usage_error_is_exit_1(tmp_path):
     proc = _run_cli("run", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 1
@@ -492,9 +505,10 @@ def test_cli_usage_error_is_exit_1(tmp_path):
         {"scenario": "gilbert-edges", "reps": [1000]},
         {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": ["a"]}},
         {"scenario": "glauber-verify", "d": 1, "t_grid": [1.0], "params": {"s_grid": 3}},
+        {"scenario": "gilbert-edges", "seed": -1},
     ],
     ids=["scalar-grid", "bare-value", "list-params", "string-grid", "list-reps", "string-s_grid",
-         "scalar-s_grid"],
+         "scalar-s_grid", "negative-seed"],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, config):
     cfg_path = tmp_path / "cfg.json"

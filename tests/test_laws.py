@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from pplab import metrics
-from pplab.laws import PoissonLaw
+from pplab.laws import LevyLaw, PoissonLaw
 from pplab.rng import derive_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,6 +50,17 @@ def test_poisson_law_rejects_nan_and_bad_quantiles():
     for q in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             law.ppf(q)
+
+
+def test_levy_law_rejects_nan():
+    # cdf and pdf read a NaN as a nonpositive argument and gave 0.0
+    law = LevyLaw(1.0)
+    for fn in (law.cdf, law.pdf, law.ppf):
+        with pytest.raises(ValueError, match="law evaluated at NaN"):
+            fn(np.nan)
+        with pytest.raises(ValueError, match="law evaluated at NaN"):
+            fn(np.array([0.5, np.nan]))
+    assert law.cdf(0.0) == 0.0 and law.pdf(-1.0) == 0.0
 
 
 def _tv_against_poisson_scipy(counts, lam):

@@ -32,7 +32,7 @@ def test_k2_constant_poisson_factorial_moment():
 
 
 def test_k1_constant_binomial_exact():
-    lhs, rhs, pooled = mecke_check(DOM, 10.0, ConstantG(1), 200, 23, mode="binomial", n=17)
+    lhs, rhs, pooled = mecke_check(DOM, 10.0, ConstantG(1), 200, 23, n=17)
     assert lhs == pytest.approx(17.0)
     assert rhs == pytest.approx(17.0)
 
@@ -44,9 +44,7 @@ def test_k2_proximity_poisson():
 
 
 def test_k2_proximity_binomial():
-    lhs, rhs, pooled = mecke_check(
-        DOM, 50.0, PairProximityG(0.1), 4000, 25, mode="binomial", n=50
-    )
+    lhs, rhs, pooled = mecke_check(DOM, 50.0, PairProximityG(0.1), 4000, 25, n=50)
     assert abs(lhs - rhs) < 3 * pooled
 
 
@@ -84,19 +82,19 @@ def test_block_methods_match_oracle_on_ragged_batches(g):
     np.testing.assert_allclose(g.block_values(y, points, counts), want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["poisson", "binomial"])
+@pytest.mark.parametrize("source", [None, 20], ids=["poisson", "binomial"])
 @pytest.mark.parametrize("g", ALL_G[:5], ids=lambda g: f"{type(g).__name__}-k{g.k}")
-def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, mode):
+def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, source):
     # redraw the block's variates whole, in its order (left counts and
     # points, ambient counts, tuples, ambient points), and evaluate both
-    # sides one replication at a time
-    t, n, size, k = 20.0, 20, 300, g.k
-    weight = float(perm(n, k)) if mode == "binomial" else (t * DOM.mass) ** k
-    got = _mecke_block(DOM, t, g, mode, n, weight, derive_rng(32, 1), size)
+    # sides one replication at a time; source None is a Poisson(t) sample
+    t, size, k = 20.0, 300, g.k
+    weight = (t * DOM.mass) ** k if source is None else float(perm(source, k))
+    got = _mecke_block(DOM, t, g, source, weight, derive_rng(32, 1), size)
     rng = derive_rng(32, 1)
-    counts = rng.poisson(t, size) if mode == "poisson" else np.full(size, n)
+    counts = rng.poisson(t, size) if source is None else np.full(size, source)
     points = DOM.sample(rng, counts.sum())
-    ambient_counts = rng.poisson(t, size) if mode == "poisson" else np.full(size, n - k)
+    ambient_counts = rng.poisson(t, size) if source is None else np.full(size, source - k)
     y = DOM.sample(rng, size * k).reshape(size, k, 2)
     ambient = DOM.sample(rng, ambient_counts.sum())
     slices = np.split(points, np.cumsum(counts)[:-1])
@@ -112,7 +110,7 @@ def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, mode):
     # the block above ran in one run of points; runs of about 50 points
     # change no number
     monkeypatch.setattr(sampling, "_RUN_POINTS", 50)
-    assert np.array_equal(_mecke_block(DOM, t, g, mode, n, weight, derive_rng(32, 1), size), got)
+    assert np.array_equal(_mecke_block(DOM, t, g, source, weight, derive_rng(32, 1), size), got)
 
 
 def test_rejects_bad_arity_and_unbounded():
