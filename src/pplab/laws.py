@@ -134,6 +134,8 @@ class LevyLaw:
 
     def ppf(self, u) -> np.ndarray:
         u = _no_nan(u)
+        if not np.all((u >= 0) & (u < 1)):
+            raise ValueError("Levy quantile needs 0 <= q < 1")
         return self.scale / (2.0 * special.erfcinv(u) ** 2)
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -17,8 +17,9 @@ of `flats` and the `mecke-verify` checks draw in blocks of `rng.BLOCK`
 replications through `rng.replicate_blocks`: a pair-statistic block draws
 its point counts, then its points in runs of replications, and takes each
 run's statistics from one ragged `transform` call; a flats block draws its
-flat counts and base radii, then each run's flats.  `flats` grid point i
-draws from (seed, i, b) and `mecke-verify` check c from (seed, c, b).
+flat counts and base radii, then counts each run's lines with one such call.
+`flats` grid point i draws from (seed, i, b), `mecke-verify` check c from
+(seed, c, b).
 `gilbert-midpoints` and `kr-estimate` use blocks of one replication
 through `rng.replicate`, and hand their configurations to
 `metrics.empirical_kr` as ragged ``(points, counts)`` sides;
@@ -296,61 +297,19 @@ def _reversed_diameter_exceeds(points, counts, scale, a):
 
 
 def _flat_pair_counts(d, m, t, window_radius, ball_radius, eps, rng, size):
-    """The close line-pair count (``_count_close_line_pairs``) of each of a
-    block of ``size`` Poisson flat processes hitting the window ball.
-
-    Draws the block's flat counts, then the base radii of all its flats,
-    then, run by run (``sampling._runs``), the Gaussians of the run's flats
-    through ``sampling.sample_flats``; a block of one replication draws as
-    ``sampling.sample_poisson_flats``.
+    """``transform.close_line_pair_counts`` of each of a block of ``size``
+    Poisson line processes hitting the window ball.  Draws the block's flat
+    counts, then its base radii, then run by run (``sampling._runs``) the
+    Gaussians of ``sampling.sample_flats``, and counts each run with one
+    ragged call; a block of one draws as ``sampling.sample_poisson_flats``.
     """
     counts = rng.poisson(sampling.flats_hitting_mass(d, m, t, window_radius), size)
     radii = window_radius * rng.uniform(size=counts.sum()) ** (1.0 / (d - m))
-    out = []
-    for lo, hi, start, stop in sampling._runs(counts):
-        frames = sampling.sample_flats(d, m, radii[start:stop], rng)
-        out += [_count_close_line_pairs(f, eps, ball_radius)
-                for f in np.split(frames, np.cumsum(counts[lo:hi - 1]))]
-    return np.array(out)
-
-
-def _count_close_line_pairs(frames, eps, ball_radius) -> int:
-    """Pairs of lines within ``eps`` whose closest-point midpoint lies in the ball.
-
-    ``frames`` is the ``(n, 2, 3)`` base/direction array of
-    ``sampling.sample_poisson_flats``.  With M = B x U row by row, the
-    symmetrized M U^T holds w . (u_i x u_j) = +-dist |u_i x u_j| for
-    w = b_i - b_j, and |u_i x u_j|^2 = 1 - c^2.  Pairs further apart than
-    2 eps are dropped up front; that slack dwarfs the rounding of either
-    form, so only the survivors need the exact per-pair formulas below.
-    """
-    n = len(frames)
-    if n < 2:
-        return 0
-    bases, dirs = frames[:, 0], frames[:, 1]
-    # b x u row by row, without np.cross's per-call overhead
-    cross = (bases[:, [1, 2, 0]] * dirs[:, [2, 0, 1]] - bases[:, [2, 0, 1]] * dirs[:, [1, 2, 0]]) @ dirs.T
-    triple = cross + cross.T
-    cos = dirs @ dirs.T
-    with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal when eps is infinite
-        near = triple * triple <= 4.0 * eps * eps * (1.0 - cos * cos)
-    iu, ju = np.nonzero(near)
-    iu, ju = iu[iu < ju], ju[iu < ju]
-    u, v = dirs[iu], dirs[ju]
-    w = bases[iu] - bases[ju]
-    c = np.einsum("ij,ij->i", u, v)
-    fu = np.einsum("ij,ij->i", w, u)
-    fv = np.einsum("ij,ij->i", w, v)
-    denom = 1.0 - c * c
-    ok = denom > 1e-14
-    t2 = np.where(ok, (fv - c * fu) / np.where(ok, denom, 1.0), 0.0)
-    t1 = c * t2 - fu
-    p1 = bases[iu] + t1[:, None] * u
-    p2 = bases[ju] + t2[:, None] * v
-    dist = np.linalg.norm(p1 - p2, axis=1)
-    mid = (p1 + p2) / 2.0
-    close = ok & (dist <= eps) & (np.linalg.norm(mid, axis=1) <= ball_radius)
-    return int(close.sum())
+    return np.concatenate([
+        transform.close_line_pair_counts(sampling.sample_flats(d, m, radii[start:stop], rng),
+                                         counts[lo:hi], eps, ball_radius)
+        for lo, hi, start, stop in sampling._runs(counts)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +456,16 @@ def _run_flats(cfg: ScenarioConfig, params: dict) -> RunResult:
     d = cfg.d
     m, a, ball_radius = params["m"], params["a"], params["ball_radius"]
     sc = bnd.flats_constant(d, m)
-    vol_k = unit_ball_volume(d) * ball_radius**d
+    target = sc * a ** (d - 2 * m) * (unit_ball_volume(d) * ball_radius**d)
     if (d, m) != (3, 1):
         raise ValueError("vectorized flat-pair path covers lines in R^3")
     rows = []
     for idx, t in enumerate(cfg.t_grid):
         eps = a * t ** (-2.0 / (d - 2 * m))
-        window = ball_radius + eps
-        args = (d, m, t, window, ball_radius, eps)
+        args = (d, m, t, ball_radius + eps, ball_radius, eps)
         counts = replicate_blocks(_flat_pair_counts, args, cfg.reps, cfg.seed, idx)
-        mean = float(counts.mean())
         se = float(counts.std(ddof=1) / sqrt(cfg.reps))
-        target = sc * a ** (d - 2 * m) * vol_k
-        err = abs(mean - target)
+        err = abs(float(counts.mean()) - target)
         rows.append(_row(cfg, t, "flat-midpoint-count", "mean-abs-error", err, se, 3 * se,
                          "3-sigma (intensity is exact at every t)", -1.0, passed=err <= 3 * se))
     mc_mean, mc_se = bnd.flats_constant_mc(d, m, params["constant_mc_samples"], rng_seed=cfg.seed)
@@ -517,7 +473,7 @@ def _run_flats(cfg: ScenarioConfig, params: dict) -> RunResult:
     rows.append(_row(cfg, cfg.t_grid[-1], "flats-constant", "closed-form-vs-haar-mc", mc_err,
                      mc_se, 3 * mc_se, "3-sigma", passed=mc_err <= 3 * mc_se))
     passed = all(r.passed for r in rows)
-    return RunResult(rows, {"passed": passed, "constant": sc, "target_mean": sc * a ** (d - 2 * m) * vol_k})
+    return RunResult(rows, {"passed": passed, "constant": sc, "target_mean": target})
 
 
 def _run_polytope(cfg: ScenarioConfig, params: dict) -> RunResult:

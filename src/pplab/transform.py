@@ -2,17 +2,16 @@
 U-statistic scenarios.
 
 The measure-level ``induce`` enumerates unordered subsets of distinct
-points and is exact (integer multiplicities).  The ``pair_*`` helpers are
-vectorized fast paths for the two-point kernels used by the experiment
-scenarios, for one replication or for a ragged batch of replications
-(the plural names and ``pair_midpoints``, which take the points of
-consecutive replications and their counts).  Each has one production
-path: the cutoff kernels and the near-antipode search share one
-sort-and-sweep fixed-radius pair search (``_pairs_within``) in row-major
-order, and the no-cutoff kernels use ``pdist``.  Tests cross-check them
-against the enumeration oracles (pair kernels, U-statistic counts and
-sums) and, bit for bit, against a dense upper-triangle reference, all kept
-in ``tests/oracles.py``.
+points and is exact (integer multiplicities).  The ``pair_*`` helpers and
+``close_line_pair_counts`` are vectorized fast paths for the two-point
+kernels of the experiment scenarios, for one replication or for a ragged
+batch (the plural names, ``pair_midpoints`` and ``close_line_pair_counts``
+take the items of consecutive replications and their counts).  Each has
+one production path: the cutoff kernels and the near-antipode search share
+one sort-and-sweep pair search (``_pairs_within``) in row-major order, the
+no-cutoff kernels use ``pdist``, and a run of line processes is counted by
+one Pluecker prefilter and one exact pass.  Tests cross-check them against
+the enumeration oracles and, bit for bit, against dense all-pairs references.
 """
 
 from __future__ import annotations
@@ -257,6 +256,48 @@ def pair_midpoints(points: np.ndarray, counts, cutoff: float):
     pts = _as_points(points)
     rep, i, j, _ = _pairs_within(pts, counts, cutoff)
     return (pts[i] + pts[j]) / 2.0, np.bincount(rep, minlength=len(counts))
+
+
+def close_line_pair_counts(frames: np.ndarray, counts, eps: float, ball_radius: float) -> np.ndarray:
+    """Per replication, the pairs of lines within ``eps`` whose closest-point
+    midpoint lies in the centred ball of radius ``ball_radius``.
+
+    ``frames`` holds the ``(n, 2, 3)`` base/direction rows (as drawn by
+    ``sampling.sample_flats``) of consecutive replications, ``counts[r]`` of
+    them for replication r.  The reciprocal product of two lines' Pluecker
+    coordinates (u, b x u) is w . (u_i x u_j) = +-dist |u_i x u_j| for
+    w = b_i - b_j.  One (n, 6) @ (6, n) matmul per replication keeps the
+    pairs with product^2 <= 4 eps^2, a slack far above the rounding, and
+    the run's survivors are decided once by the exact closest-point
+    formulas; pairs with 1 - c^2 <= 1e-14 never count.
+    """
+    bases, dirs = frames[:, 0], frames[:, 1]
+    moments = np.cross(bases, dirs)
+    plucker, dual = np.hstack([dirs, moments]), np.hstack([moments, dirs])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    found = [np.flatnonzero(np.square(plucker[a:b] @ dual[a:b].T) <= 4.0 * eps * eps)
+             for a, b in zip(starts.tolist(), ends.tolist())]
+    lengths = list(map(len, found))
+    iu, ju = divmod(np.concatenate([np.empty(0, dtype=np.intp)] + found), np.repeat(counts, lengths))
+    upper = iu < ju
+    start = np.repeat(starts, lengths)[upper]
+    iu, ju = iu[upper] + start, ju[upper] + start
+    u, v = dirs[iu], dirs[ju]
+    w = bases[iu] - bases[ju]
+    c = np.einsum("ij,ij->i", u, v)
+    fu = np.einsum("ij,ij->i", w, u)
+    fv = np.einsum("ij,ij->i", w, v)
+    denom = 1.0 - c * c
+    ok = denom > 1e-14
+    t2 = np.where(ok, (fv - c * fu) / np.where(ok, denom, 1.0), 0.0)
+    t1 = c * t2 - fu
+    p1 = bases[iu] + t1[:, None] * u
+    p2 = bases[ju] + t2[:, None] * v
+    dist = np.linalg.norm(p1 - p2, axis=1)
+    mid = (p1 + p2) / 2.0
+    close = ok & (dist <= eps) & (np.linalg.norm(mid, axis=1) <= ball_radius)
+    return np.bincount(np.searchsorted(ends, iu[close], side="right"), minlength=len(counts))
 
 
 def max_pair_distance(points: np.ndarray) -> float:

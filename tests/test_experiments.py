@@ -723,7 +723,7 @@ def test_vectorized_line_pair_formulas_match_lstsq():
 
     frames = sample_poisson_flats(3, 1, 4.0, 1.0, derive_rng(99))
     assert len(frames) >= 2
-    counted = scenarios._count_close_line_pairs(frames, np.inf, np.inf)
+    counted = transform.close_line_pair_counts(frames, [len(frames)], np.inf, np.inf)[0]
     assert counted == len(frames) * (len(frames) - 1) // 2
     # spot-check distances and midpoints against the least-squares solver
     import itertools
@@ -779,10 +779,40 @@ def test_pruned_line_pair_count_matches_all_pairs():
     total = 0
     for i in range(300):
         frames = sample_poisson_flats(3, 1, t, ball_radius + eps, derive_rng(42, i))
-        got = scenarios._count_close_line_pairs(frames, eps, ball_radius)
+        got = transform.close_line_pair_counts(frames, [len(frames)], eps, ball_radius)[0]
         assert got == _all_pairs_close_count(frames, eps, ball_radius)
         total += got
     assert total > 0
+
+
+def _ragged_matches_dense(reps, eps, ball_radius):
+    """The ragged count of a run of the replications ``reps`` against the
+    dense count of each; returns the dense counts."""
+    frames = np.concatenate([np.empty((0, 2, 3))] + reps)
+    got = transform.close_line_pair_counts(frames, [len(f) for f in reps], eps, ball_radius)
+    want = [_all_pairs_close_count(f, eps, ball_radius) for f in reps]
+    assert got.tolist() == want
+    return want
+
+
+def test_ragged_line_pair_counts_equal_dense_per_replication():
+    from pplab.sampling import sample_poisson_flats
+
+    reps = [sample_poisson_flats(3, 1, t, 0.6 + t**-2, derive_rng(46, k))
+            for k, t in enumerate((100.0, 5.0, 400.0, 100.0))]
+    # replications of 0 and 1 lines inside the run
+    reps[1:1] = [np.empty((0, 2, 3)), reps[0][:1]]
+    assert sum(_ragged_matches_dense(reps, 100.0**-2, 0.6)) > 0
+    assert sum(_ragged_matches_dense(reps, 0.05, 0.3)) > 0
+    everything = _ragged_matches_dense(reps, np.inf, np.inf)
+    assert everything == [len(f) * (len(f) - 1) // 2 for f in reps]
+    # eps set to pair distances as the exact formulas round them, so each
+    # of those pairs sits at the cutoff
+    dist, _, ok = _all_pairs_line_geometry(reps[-1])
+    for eps in np.sort(dist[ok])[:5]:
+        assert _ragged_matches_dense(reps, eps, np.inf)[-1] >= 1
+    # a run of one replication
+    assert _ragged_matches_dense(reps[-1:], 100.0**-2, 0.6) == [_all_pairs_close_count(reps[-1], 100.0**-2, 0.6)]
 
 
 FLAT_BLOCK_ARGS = (3, 1, 100.0, 0.6 + 100.0**-2, 0.6, 100.0**-2)  # d, m, t, window, ball, eps
@@ -815,7 +845,7 @@ def test_flat_block_counts_do_not_depend_on_run_size(monkeypatch):
     for seed in range(5):
         frames = sample_poisson_flats(d, m, t, window, derive_rng(seed))
         one = scenarios._flat_pair_counts(*FLAT_BLOCK_ARGS, derive_rng(seed), 1)
-        assert one.tolist() == [scenarios._count_close_line_pairs(frames, eps, ball_radius)]
+        assert one.tolist() == [transform.close_line_pair_counts(frames, [len(frames)], eps, ball_radius)[0]]
 
 
 def test_line_pair_at_the_cutoff_is_counted():
@@ -828,7 +858,7 @@ def test_line_pair_at_the_cutoff_is_counted():
         g = rng.standard_normal((2, 3))
         frames[:, 1] = g / np.linalg.norm(g, axis=1, keepdims=True)
         (dist,), _, _ = _all_pairs_line_geometry(frames)
-        assert scenarios._count_close_line_pairs(frames, dist, np.inf) == 1
+        assert transform.close_line_pair_counts(frames, [len(frames)], dist, np.inf)[0] == 1
 
 
 @pytest.mark.parametrize("factor, expected", [(0.999, 1), (1.001, 0)])
@@ -841,7 +871,7 @@ def test_line_pair_distance_either_side_of_eps(factor, expected):
         (np.array([0.0, 0.0, -h]) + 0.3 * u, u),
         (np.array([0.0, 0.0, h]) - 0.2 * v, v),
     )
-    assert scenarios._count_close_line_pairs(frames, eps, 0.6) == expected
+    assert transform.close_line_pair_counts(frames, [len(frames)], eps, 0.6)[0] == expected
     assert _all_pairs_close_count(frames, eps, 0.6) == expected
 
 
@@ -856,5 +886,5 @@ def test_near_parallel_line_pairs_either_side_of_denominator_floor(sin2, expecte
         (np.array([0.0, 0.0, -eps / 4]), u),
         (np.array([0.0, 0.0, eps / 4]), v),
     )
-    assert scenarios._count_close_line_pairs(frames, eps, 0.6) == expected
+    assert transform.close_line_pair_counts(frames, [len(frames)], eps, 0.6)[0] == expected
     assert _all_pairs_close_count(frames, eps, 0.6) == expected

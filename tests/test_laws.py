@@ -63,6 +63,18 @@ def test_levy_law_rejects_nan():
     assert law.cdf(0.0) == 0.0 and law.pdf(-1.0) == 0.0
 
 
+def test_levy_quantile_range():
+    # no quantile outside [0, 1): erfcinv would fold 1.5 onto 0.5, give NaN
+    # below 0 and divide by zero at 1
+    law = LevyLaw(1.0)
+    for q in (1.0, 1.5, 2.5, -0.5, np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match="Levy quantile"):
+            law.ppf(q)
+    # an exact 0 draw of rng.uniform is a valid quantile level
+    assert law.ppf(0.0) == 0.0
+    assert law.cdf(law.ppf(0.5)) == pytest.approx(0.5, abs=1e-15)
+
+
 def _tv_against_poisson_scipy(counts, lam):
     """The TV formula written directly on ``scipy.stats.poisson``."""
     counts = np.asarray(counts, dtype=int)
