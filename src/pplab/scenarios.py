@@ -215,11 +215,11 @@ class RunResult:
 
 
 def _row(cfg, t, statistic, distance_name, distance, stderr, bound=None, bound_form="",
-         rate_pred=None, passed=True, d=None) -> ResultRow:
-    """One row of cfg's scenario; ``d`` defaults to the config's dimension."""
+         rate_pred=None, passed=True) -> ResultRow:
+    """One row of cfg's scenario, in the config's dimension."""
     return ResultRow(
         scenario=cfg.scenario,
-        d=cfg.d if d is None else d,
+        d=cfg.d,
         t=t,
         statistic=statistic,
         distance_name=distance_name,
@@ -253,11 +253,11 @@ def _side(point_sets, d) -> tuple:
     return np.concatenate(point_sets).reshape(-1, d), np.array([len(p) for p in point_sets])
 
 
-def _gap_row(cfg, t, statistic, lhs, rhs, pooled, d=None) -> ResultRow:
+def _gap_row(cfg, t, statistic, lhs, rhs, pooled) -> ResultRow:
     """An identity check: |lhs - rhs| within 3 pooled sigma (exact when pooled is 0)."""
     gap = abs(lhs - rhs)
     return _row(cfg, t, statistic, "lhs-rhs-gap", gap, pooled, 3 * pooled, "3 pooled sigma",
-                passed=gap < 3 * pooled or pooled == 0.0, d=d)
+                passed=gap < 3 * pooled or pooled == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +499,15 @@ def _run_polytope(cfg: ScenarioConfig, params: dict) -> RunResult:
 
 
 def _run_glauber_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
+    if cfg.d != 1:
+        raise ValueError("glauber-verify runs on the line: needs d = 1")
     s_tv = 1.0  # the time at which the two simulators' count laws are compared
-    target = glb.TargetIntensity.from_domain(Domain("cube", 1), scale=params["mass"])
+    mass = params["mass"]
     omega0 = np.array([0.25, 0.5, 0.75])
     window = (0.0, 0.3)
 
     # event-driven vs exact-law simulators, compared through their count laws
-    sim = (omega0, target, s_tv, window)
+    sim = (omega0, mass, s_tv, window)
     ed = replicate_blocks(glb.simulate_event_driven, sim, cfg.reps, cfg.seed, 1)[:, 0]
     ex = replicate_blocks(glb.simulate_exact_law, sim, cfg.reps, cfg.seed, 2)[:, 0]
     pa, pb = metrics.integer_pmfs(ed, ex)
@@ -519,7 +521,7 @@ def _run_glauber_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
     se = _bootstrap_se(resampled_tv, derive_rng(cfg.seed, 77_004, 0), n_boot)
     rows = [
         _row(cfg, s_tv, "count-law", "tv-two-simulators", tv, se, 0.02, "acceptance threshold",
-             passed=tv < 0.02, d=1)
+             passed=tv < 0.02)
     ]
 
     # commutation for three 1-Lipschitz functionals of the (total, window) counts
@@ -532,23 +534,23 @@ def _run_glauber_verify(cfg: ScenarioConfig, params: dict) -> RunResult:
     for f_idx, (name, phi) in enumerate(functionals.items()):
         for s in params["commutation_s"]:
             lhs, rhs, pooled = glb.commutation_check(
-                omega0, y_loc, phi, target, s, window, params["commutation_reps"], cfg.seed + 101 + f_idx
+                omega0, y_loc, phi, mass, s, window, params["commutation_reps"], cfg.seed + 101 + f_idx
             )
-            rows.append(_gap_row(cfg, s, f"commutation-{name}", lhs, rhs, pooled, d=1))
+            rows.append(_gap_row(cfg, s, f"commutation-{name}", lhs, rhs, pooled))
 
     # ergodicity from the empty configuration
-    table = glb.ergodicity_check(0, target, params["s_grid"], cfg.reps, cfg.seed + 71)
+    table = glb.ergodicity_check(0, mass, params["s_grid"], cfg.reps, cfg.seed + 71)
     tvs = [tv_s for _, tv_s, _ in table]
     monotone = all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
     for j, (s, tv_s, counts) in enumerate(table, start=1):
-        emp, pois, tail = metrics.poisson_pmfs(counts, target.mass)
+        emp, pois, tail = metrics.poisson_pmfs(counts, mass)
         n = counts.size
         se = _bootstrap_se(lambda rng: metrics.tv_pmfs(rng.multinomial(n, emp) / n, pois, tail),
                            derive_rng(cfg.seed, 77_004, j), n_boot)
         settled = (1 - exp(-s)) > 0.999
         rows.append(_row(cfg, s, "ergodicity", "tv-to-stationary-counts", tv_s, se,
                          0.03 if settled else None, "acceptance threshold once 1-e^-s > 0.999",
-                         passed=tv_s < 0.03 if settled else True, d=1))
+                         passed=tv_s < 0.03 if settled else True))
     passed = all(r.passed for r in rows) and monotone
     return RunResult(rows, {"passed": passed, "ergodicity_monotone": monotone})
 

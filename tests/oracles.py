@@ -388,22 +388,18 @@ def mecke_config_sum(g, config_pts) -> float:
 # ``pplab.glauber``, and the exact time-s count law both must follow.
 
 
-def _sample_locations(target, rng, n: int) -> list:
-    return [float(v) for v in np.asarray(target.sampler(rng, n), dtype=float).reshape(n)]
-
-
-def simulate_event_driven_config(omega: Configuration, target, s: float, rng) -> Configuration:
+def simulate_event_driven_config(omega: Configuration, mass: float, s: float, rng) -> Configuration:
     """State at time s started from omega: births at rate mass on [0, s],
-    placed by the location sampler, and a unit-rate exponential lifetime
-    for every particle."""
+    placed uniformly on [0, 1], and a unit-rate exponential lifetime for
+    every particle."""
     if s < 0:
         raise ValueError("horizon must be nonnegative")
     final = Configuration(space=omega.space)
     initial_pts = omega.points()
     init_lifetimes = rng.exponential(size=len(initial_pts))
-    n_births = rng.poisson(target.mass * s)
+    n_births = rng.poisson(mass * s)
     birth_times = np.sort(rng.uniform(0.0, s, size=n_births))
-    birth_locs = _sample_locations(target, rng, n_births)
+    birth_locs = rng.uniform(size=n_births).tolist()
     birth_lifetimes = rng.exponential(size=n_births)
     for p, life in zip(initial_pts, init_lifetimes):
         if life >= s:
@@ -414,9 +410,10 @@ def simulate_event_driven_config(omega: Configuration, target, s: float, rng) ->
     return final
 
 
-def simulate_exact_law_config(omega: Configuration, target, s: float, rng) -> Configuration:
+def simulate_exact_law_config(omega: Configuration, mass: float, s: float, rng) -> Configuration:
     """The time-s law sampled directly: keep each atom with probability
-    e^(-s), superpose a Poisson((1 - e^(-s)) * intensity) sample."""
+    e^(-s), superpose a Poisson((1 - e^(-s)) * mass) sample of uniform
+    locations."""
     if s < 0:
         raise ValueError("horizon must be nonnegative")
     keep_p = np.exp(-s)
@@ -425,7 +422,7 @@ def simulate_exact_law_config(omega: Configuration, target, s: float, rng) -> Co
         kept = rng.binomial(mult, keep_p)
         if kept:
             out.add(loc, kept)
-    for loc in _sample_locations(target, rng, rng.poisson((1.0 - keep_p) * target.mass)):
+    for loc in rng.uniform(size=rng.poisson((1.0 - keep_p) * mass)).tolist():
         out.add(loc)
     return out
 

@@ -589,6 +589,19 @@ def test_cli_distance_power_needs_tau_2d(tmp_path, capsys, monkeypatch, tau):
     assert not (tmp_path / "rows.csv").exists()
 
 
+def test_cli_glauber_verify_needs_d_1(tmp_path, capsys, monkeypatch):
+    # the dynamics live on the line; d = 2 used to run them and label every row d = 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before checking d")
+
+    monkeypatch.setattr(scenarios, "replicate_blocks", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "glauber-verify", "d": 2, "t_grid": [1.0]}))
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(tmp_path / "rows.csv")]) == 1
+    assert "scenario error: glauber-verify runs on the line: needs d = 1" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_cli_list_scenarios():
     proc = _run_cli("list-scenarios")
     assert proc.returncode == 0

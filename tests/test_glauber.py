@@ -7,7 +7,6 @@ from pplab import glauber
 from pplab.configuration import Configuration
 from pplab.geometry import Domain
 from pplab.glauber import (
-    TargetIntensity,
     capped_window_count,
     commutation_check,
     ergodicity_check,
@@ -21,7 +20,7 @@ from pplab.metrics import mean_gap, tv_against_poisson, tv_integer
 from pplab.rng import derive_rng, replicate, replicate_blocks
 
 DOM = Domain("cube", 1)
-TARGET = TargetIntensity.from_domain(DOM, scale=5.0)
+MASS = 5.0
 START = np.array([0.2, 0.5, 0.9])
 EMPTY = np.empty(0)
 WINDOW = (0.0, 0.3)
@@ -29,9 +28,9 @@ SAMPLERS = (simulate_event_driven, simulate_exact_law)
 ORACLES = (simulate_event_driven_config, simulate_exact_law_config)
 
 
-def _counts(sampler, start, s, reps, seed, target=TARGET, window=WINDOW):
+def _counts(sampler, start, s, reps, seed, mass=MASS, window=WINDOW):
     """(reps, 2) survivor totals and window counts from a block sampler."""
-    return replicate_blocks(sampler, (start, target, s, window), reps, seed)
+    return replicate_blocks(sampler, (start, mass, s, window), reps, seed)
 
 
 def _fit_pvalue(counts, pmf) -> float:
@@ -64,8 +63,8 @@ def test_block_samplers_follow_exact_count_law(sampler, s, start):
     seed = 300 + 100 * SAMPLERS.index(sampler) + int(10 * s) + len(start)
     counts = _counts(sampler, start, s, 20_000, seed)
     in_window = int(((WINDOW[0] <= start) & (start <= WINDOW[1])).sum())
-    total_pmf = count_law_pmf(len(start), TARGET.mass, s, 40)
-    window_pmf = count_law_pmf(in_window, TARGET.mass * (WINDOW[1] - WINDOW[0]), s, 40)
+    total_pmf = count_law_pmf(len(start), MASS, s, 40)
+    window_pmf = count_law_pmf(in_window, MASS * (WINDOW[1] - WINDOW[0]), s, 40)
     assert _fit_pvalue(counts[:, 0], total_pmf) > 1e-3
     assert _fit_pvalue(counts[:, 1], window_pmf) > 1e-3
 
@@ -73,14 +72,13 @@ def test_block_samplers_follow_exact_count_law(sampler, s, start):
 def test_count_law_fit_rejects_death_rate_105():
     # death rate 1.05 is, by a time change, the unit-rate law at 1.05 s with
     # the birth mass divided by 1.05
-    slowed = TargetIntensity(TARGET.mass / 1.05, TARGET.sampler)
     for sampler in SAMPLERS:
-        counts = _counts(sampler, START, 1.05, 20_000, 301, target=slowed)
-        assert _fit_pvalue(counts[:, 0], count_law_pmf(3, TARGET.mass, 1.0, 40)) < 1e-6
+        counts = _counts(sampler, START, 1.05, 20_000, 301, mass=MASS / 1.05)
+        assert _fit_pvalue(counts[:, 0], count_law_pmf(3, MASS, 1.0, 40)) < 1e-6
 
 
 def _oracle_counts(oracle, omega, s, rng):
-    state = oracle(omega, TARGET, s, rng)
+    state = oracle(omega, MASS, s, rng)
     return state.total(), state.count_interval(*WINDOW)
 
 
@@ -91,7 +89,7 @@ def test_block_samplers_match_oracle_simulators(idx):
     oracle = np.array(replicate(_oracle_counts, (ORACLES[idx], omega, s), reps, 40 + idx))
     block = _counts(SAMPLERS[idx], START, s, 40_000, 50 + idx)
     for col, n0 in ((0, 3), (1, 1)):
-        mass = TARGET.mass * (1.0 if col == 0 else WINDOW[1] - WINDOW[0])
+        mass = MASS * (1.0 if col == 0 else WINDOW[1] - WINDOW[0])
         assert _fit_pvalue(oracle[:, col], count_law_pmf(n0, mass, s, 40)) > 1e-3
         a, b = oracle[:, col], block[:, col]
         pooled = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
@@ -100,16 +98,16 @@ def test_block_samplers_match_oracle_simulators(idx):
 
 def test_s0_returns_initial_state():
     omega = Configuration.from_points(START, space=DOM.space_tag)
-    assert simulate_event_driven_config(omega, TARGET, 0.0, derive_rng(1)) == omega
-    assert simulate_exact_law_config(omega, TARGET, 0.0, derive_rng(1)) == omega
+    assert simulate_event_driven_config(omega, MASS, 0.0, derive_rng(1)) == omega
+    assert simulate_exact_law_config(omega, MASS, 0.0, derive_rng(1)) == omega
     for sampler in SAMPLERS:
         assert _counts(sampler, START, 0.0, 7, 1).tolist() == [[3, 1]] * 7
 
 
 def test_empty_start_counts_poisson():
     s = 0.7
-    counts = survivor_count_event_driven(0, TARGET.mass, s, derive_rng(2), 40_000)
-    lam = (1 - np.exp(-s)) * TARGET.mass
+    counts = survivor_count_event_driven(0, MASS, s, derive_rng(2), 40_000)
+    lam = (1 - np.exp(-s)) * MASS
     assert tv_against_poisson(counts, lam) < 0.02
 
 
@@ -135,16 +133,15 @@ def test_two_simulators_same_count_law():
 
 def test_exact_law_large_s_is_fresh_poisson():
     counts = _counts(simulate_exact_law, START, 40.0, 30_000, 6)[:, 0]
-    assert tv_against_poisson(counts, TARGET.mass) < 0.02
+    assert tv_against_poisson(counts, MASS) < 0.02
 
 
 def test_cross_simulator_mean_functionals():
     # capped count in the window [0, 0.4] under three (s, mass) settings
     for seed, (s, mass) in enumerate([(0.5, 2.0), (1.0, 5.0), (2.0, 8.0)]):
-        target = TargetIntensity.from_domain(DOM, scale=mass)
         reps = 4000
-        ed = np.minimum(_counts(simulate_event_driven, START, s, reps, 7 + seed, target, (0.0, 0.4))[:, 1], 10)
-        ex = np.minimum(_counts(simulate_exact_law, START, s, reps, 17 + seed, target, (0.0, 0.4))[:, 1], 10)
+        ed = np.minimum(_counts(simulate_event_driven, START, s, reps, 7 + seed, mass, (0.0, 0.4))[:, 1], 10)
+        ex = np.minimum(_counts(simulate_exact_law, START, s, reps, 17 + seed, mass, (0.0, 0.4))[:, 1], 10)
         pooled = np.sqrt(ed.var(ddof=1) / reps + ex.var(ddof=1) / reps)
         assert abs(ed.mean() - ex.mean()) < 3 * pooled
 
@@ -152,50 +149,49 @@ def test_cross_simulator_mean_functionals():
 def test_semigroup_trivial_cases():
     # the count semigroup is the identity at s = 0 and has mean
     # (1 - e^-s) * mass from the empty start
-    assert survivor_count_event_driven(3, TARGET.mass, 0.0, derive_rng(8), 5).tolist() == [3] * 5
+    assert survivor_count_event_driven(3, MASS, 0.0, derive_rng(8), 5).tolist() == [3] * 5
     reps = 20_000
     counts = _counts(simulate_event_driven, EMPTY, 1.0, reps, 9)[:, 0]
-    lam = (1 - np.exp(-1.0)) * TARGET.mass
+    lam = (1 - np.exp(-1.0)) * MASS
     assert abs(counts.mean() - lam) < 3 * counts.std(ddof=1) / np.sqrt(reps)
 
 
 def test_commutation_s0_exact():
-    lhs, rhs, pooled = commutation_check(START, 0.3, total_count, TARGET, 0.0, WINDOW, 10, 11)
+    lhs, rhs, pooled = commutation_check(START, 0.3, total_count, MASS, 0.0, WINDOW, 10, 11)
     assert lhs == rhs == 1.0 and pooled == 0.0
 
 
 @pytest.mark.parametrize("reps", [0, 1])
 def test_commutation_needs_two_reps(reps):
     with pytest.raises(ValueError, match="at least 2 replications"):
-        commutation_check(START, 0.3, total_count, TARGET, 1.0, WINDOW, reps, 12)
+        commutation_check(START, 0.3, total_count, MASS, 1.0, WINDOW, reps, 12)
 
 
 def test_commutation_count_functional():
     # for the count, the left side is exactly e^{-s} in expectation and the
     # right side is e^{-s} deterministically
-    lhs, rhs, pooled = commutation_check(START, 0.3, total_count, TARGET, 1.0, WINDOW, 30_000, 12)
+    lhs, rhs, pooled = commutation_check(START, 0.3, total_count, MASS, 1.0, WINDOW, 30_000, 12)
     assert rhs == pytest.approx(np.exp(-1.0), abs=1e-12)
     assert abs(lhs - rhs) < 3 * pooled
 
 
 def test_commutation_capped_functional():
     for phi in (window_occupancy, capped_window_count):
-        lhs, rhs, pooled = commutation_check(START, 0.15, phi, TARGET, 0.7, WINDOW, 30_000, 13)
+        lhs, rhs, pooled = commutation_check(START, 0.15, phi, MASS, 0.7, WINDOW, 30_000, 13)
         assert pooled > 0
         assert abs(lhs - rhs) < 3 * pooled
 
 
-def _lhs_immortal_extra(start, y, phi, target, s, window, rng, size):
+def _lhs_immortal_extra(start, y, phi, mass, s, window, rng, size):
     """Left side whose extra particle never dies: the gradient unthinned."""
-    counts = simulate_event_driven(start, target, s, window, rng, size)
+    counts = simulate_event_driven(start, mass, s, window, rng, size)
     return glauber._gradient(phi, counts, int(glauber._inside(y, window)))
 
 
-def _lhs_death_rate(rate, start, y, phi, target, s, window, rng, size):
+def _lhs_death_rate(rate, start, y, phi, mass, s, window, rng, size):
     """Left side of dynamics whose particles die at ``rate``: by a time change,
     the unit-rate dynamics run to rate * s with birth mass divided by rate."""
-    slowed = TargetIntensity(target.mass / rate, target.sampler)
-    counts = simulate_event_driven(start, slowed, rate * s, window, rng, size)
+    counts = simulate_event_driven(start, mass / rate, rate * s, window, rng, size)
     extra_alive = rng.exponential(size=size) >= rate * s
     return np.where(extra_alive, glauber._gradient(phi, counts, int(glauber._inside(y, window))), 0.0)
 
@@ -206,7 +202,7 @@ def test_commutation_rejects_broken_left_sides(s):
     # replications per side; a death-rate error moves only the count
     # functional's side by more than the noise
     reps = 100_000
-    args = (START, 0.15, total_count, TARGET, s, WINDOW)
+    args = (START, 0.15, total_count, MASS, s, WINDOW)
     rhs = replicate_blocks(glauber._commutation_rhs, args, reps, 21, 1)
     for lhs_fn, lhs_args in ((_lhs_immortal_extra, args), (_lhs_death_rate, (1.05, *args))):
         lhs, rhs_mean, pooled = mean_gap(replicate_blocks(lhs_fn, lhs_args, reps, 21, 0), rhs)
@@ -231,7 +227,7 @@ def test_coupling_bound_for_count():
 
 
 def test_ergodicity_decreases_and_converges():
-    table = ergodicity_check(0, TARGET, (0.5, 1.0, 2.0, 4.0, 8.0), 30_000, 16)
+    table = ergodicity_check(0, MASS, (0.5, 1.0, 2.0, 4.0, 8.0), 30_000, 16)
     tvs = [tv for _, tv, _ in table]
     assert all(b <= a + 0.01 for a, b in zip(tvs, tvs[1:]))
     assert tvs[-1] < 0.03
@@ -240,8 +236,8 @@ def test_ergodicity_decreases_and_converges():
 def test_ergodicity_s0_closed_form():
     # from the empty start at s = 0 the count law is a point mass at zero
     counts = np.zeros(100, dtype=int)
-    tv = tv_against_poisson(counts, TARGET.mass)
-    assert tv == pytest.approx(1 - np.exp(-TARGET.mass), abs=1e-9)
+    tv = tv_against_poisson(counts, MASS)
+    assert tv == pytest.approx(1 - np.exp(-MASS), abs=1e-9)
 
 
 def test_invariance_poisson_start():
@@ -250,9 +246,9 @@ def test_invariance_poisson_start():
     reps = 30_000
     s = 0.9
     rng = derive_rng(18)
-    n0 = rng.poisson(TARGET.mass, size=reps)
+    n0 = rng.poisson(MASS, size=reps)
     counts = np.concatenate([
-        survivor_count_event_driven(int(k), TARGET.mass, s, rng, int((n0 == k).sum()))
+        survivor_count_event_driven(int(k), MASS, s, rng, int((n0 == k).sum()))
         for k in np.unique(n0)
     ])
-    assert tv_against_poisson(counts, TARGET.mass) < 0.02
+    assert tv_against_poisson(counts, MASS) < 0.02

@@ -113,17 +113,18 @@ def test_block_sides_match_oracle_on_the_same_points(monkeypatch, g, source):
     assert np.array_equal(_mecke_block(DOM, t, g, source, weight, derive_rng(32, 1), size), got)
 
 
-def test_rejects_bad_arity_and_unbounded():
+def test_rejects_bad_arity():
     with pytest.raises(ValueError):
         mecke_check(DOM, 5.0, ConstantG(3), 10, 0)
-    g = ConstantG(1)
-    g.bound = float("inf")
-    with pytest.raises(ValueError):
-        mecke_check(DOM, 5.0, g, 10, 0)
+
+
+class _ScaledSingletonNeighborG(SingletonNeighborG):
+    """A broken test function: every right-side value is at least 20 / cap = 2."""
+
+    def block_values(self, y, points, counts):
+        return 20 * super().block_values(y, points, counts)
 
 
 def test_right_side_outside_the_declared_bound_raises():
-    g = SingletonNeighborG(0.15)
-    g.bound = 0.05  # every right-side value is at least 1 / cap = 0.1
     with pytest.raises(ValueError, match="left its declared bound"):
-        mecke_check(DOM, 5.0, g, 10, 0)
+        mecke_check(DOM, 5.0, _ScaledSingletonNeighborG(0.15), 10, 0)
